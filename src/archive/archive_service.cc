@@ -162,13 +162,15 @@ ArchiveService::flush()
 ArchiveError
 ArchiveService::put(const std::string &name,
                     const PreparedVideo &prepared,
-                    const ArchivePutOptions &options)
+                    const ArchivePutOptions &options, u64 *cell_bytes)
 {
     VA_TELEM_LATENCY("archive.put");
     // Heavy work (encrypt + BCH encode) happens outside any lock;
     // only the map insert needs the directory writer lock.
     VideoRecord record = recordFromPrepared(prepared, options.encryption);
     u32 meta_crc = crc32(serializeRecordMeta(record));
+    if (cell_bytes != nullptr)
+        *cell_bytes = record.cellBytes();
 
     std::unique_lock dir(dirMutex_);
     archive_.videos[name] = std::move(record);

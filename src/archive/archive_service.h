@@ -178,10 +178,13 @@ class ArchiveService
     /** Persist the current state atomically. */
     ArchiveError flush();
 
-    /** Store (or replace) @p name. Encoding runs on the pool. */
+    /** Store (or replace) @p name. Encoding runs on the pool. When
+     * @p cell_bytes is set it receives the stored record's cell-image
+     * bytes (its stat() cellBytes). */
     ArchiveError put(const std::string &name,
                      const PreparedVideo &prepared,
-                     const ArchivePutOptions &options = {});
+                     const ArchivePutOptions &options = {},
+                     u64 *cell_bytes = nullptr);
 
     /** Retrieve and decode @p name. */
     ArchiveGetResult get(const std::string &name,

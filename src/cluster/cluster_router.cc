@@ -138,7 +138,7 @@ ClusterRouter::tryReplicaRead(const GetFramesRequest &request)
     if (!raw)
         return std::nullopt;
     GetFramesResponse response;
-    if (!parseGetFramesResponse(raw->payload, response) ||
+    if (!parseGetFramesResponse(std::move(raw->payload), response) ||
         (response.status != Status::Ok &&
          response.status != Status::Degraded))
         return std::nullopt;
@@ -189,8 +189,8 @@ ClusterRouter::getFrames(const GetFramesRequest &request)
                     }
                 } else {
                     GetFramesResponse response;
-                    if (parseGetFramesResponse(raw->payload,
-                                               response))
+                    if (parseGetFramesResponse(
+                            std::move(raw->payload), response))
                         return response;
                 }
             }

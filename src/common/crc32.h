@@ -3,7 +3,9 @@
  * CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) for the
  * integrity fields of the VAPP archive container. Covers only the
  * precisely stored metadata — approximate payloads are deliberately
- * left unchecksummed, since degrading them is the point.
+ * left unchecksummed, since degrading them is the point. The wire
+ * protocol CRCs every frame with it too, so it runs slicing-by-16
+ * (16 bytes per table step).
  */
 
 #ifndef VIDEOAPP_COMMON_CRC32_H_

@@ -1,6 +1,7 @@
 #include "crypto/aes.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace videoapp {
@@ -14,24 +15,18 @@ xtime(u8 a)
     return static_cast<u8>((a << 1) ^ ((a & 0x80) ? 0x1B : 0x00));
 }
 
-/** Full GF(2^8) multiplication. */
-u8
-gmul(u8 a, u8 b)
-{
-    u8 p = 0;
-    for (int i = 0; i < 8; ++i) {
-        if (b & 1)
-            p ^= a;
-        a = xtime(a);
-        b >>= 1;
-    }
-    return p;
-}
-
-struct SboxTables
+struct CipherTables
 {
     std::array<u8, 256> sbox;
     std::array<u8, 256> inv;
+    /**
+     * T-tables: te[k][x] is S-box output sbox[x] multiplied through
+     * MixColumns as the input byte of row k, i.e. the column word
+     * the byte contributes (row 0 in the low byte). Row k's table is
+     * row 0's rotated left by 8k bits, so one encryption round is
+     * four lookups and XORs per column.
+     */
+    std::array<std::array<u32, 256>, 4> te;
 };
 
 /**
@@ -39,11 +34,12 @@ struct SboxTables
  * GF(2^8) followed by the FIPS-197 affine transformation. Generating
  * rather than transcribing the table removes a whole class of typo
  * bugs; the result is cross-checked against known vectors in tests.
+ * The T-tables are derived from the generated S-box in the same pass.
  */
-SboxTables
-makeSboxes()
+CipherTables
+makeTables()
 {
-    SboxTables t{};
+    CipherTables t{};
     // Build inverses via the 3-generator exponent/log trick.
     std::array<u8, 256> log{}, alog{};
     u8 x = 1;
@@ -70,22 +66,23 @@ makeSboxes()
         }
         t.sbox[i] = s;
         t.inv[s] = static_cast<u8>(i);
+        // MixColumns column {02,01,01,03}: row 0 takes 2s, rows 1
+        // and 2 take s, row 3 takes 3s.
+        const u32 word = static_cast<u32>(xtime(s)) |
+                         static_cast<u32>(s) << 8 |
+                         static_cast<u32>(s) << 16 |
+                         static_cast<u32>(xtime(s) ^ s) << 24;
+        for (int k = 0; k < 4; ++k)
+            t.te[k][i] = std::rotl(word, 8 * k);
     }
     return t;
 }
 
-const SboxTables &
+const CipherTables &
 tables()
 {
-    static const SboxTables t = makeSboxes();
+    static const CipherTables t = makeTables();
     return t;
-}
-
-void
-subBytes(AesBlock &st)
-{
-    for (auto &b : st)
-        b = tables().sbox[b];
 }
 
 void
@@ -97,15 +94,6 @@ invSubBytes(AesBlock &st)
 
 // State layout: st[r + 4*c] = byte at row r, column c (FIPS order).
 void
-shiftRows(AesBlock &st)
-{
-    AesBlock t = st;
-    for (int r = 1; r < 4; ++r)
-        for (int c = 0; c < 4; ++c)
-            st[r + 4 * c] = t[r + 4 * ((c + r) & 3)];
-}
-
-void
 invShiftRows(AesBlock &st)
 {
     AesBlock t = st;
@@ -115,35 +103,27 @@ invShiftRows(AesBlock &st)
 }
 
 void
-mixColumns(AesBlock &st)
-{
-    for (int c = 0; c < 4; ++c) {
-        u8 a0 = st[4 * c], a1 = st[4 * c + 1];
-        u8 a2 = st[4 * c + 2], a3 = st[4 * c + 3];
-        st[4 * c] = static_cast<u8>(gmul(a0, 2) ^ gmul(a1, 3) ^ a2 ^ a3);
-        st[4 * c + 1] =
-            static_cast<u8>(a0 ^ gmul(a1, 2) ^ gmul(a2, 3) ^ a3);
-        st[4 * c + 2] =
-            static_cast<u8>(a0 ^ a1 ^ gmul(a2, 2) ^ gmul(a3, 3));
-        st[4 * c + 3] =
-            static_cast<u8>(gmul(a0, 3) ^ a1 ^ a2 ^ gmul(a3, 2));
-    }
-}
-
-void
 invMixColumns(AesBlock &st)
 {
     for (int c = 0; c < 4; ++c) {
-        u8 a0 = st[4 * c], a1 = st[4 * c + 1];
-        u8 a2 = st[4 * c + 2], a3 = st[4 * c + 3];
-        st[4 * c] = static_cast<u8>(gmul(a0, 14) ^ gmul(a1, 11) ^
-                                    gmul(a2, 13) ^ gmul(a3, 9));
-        st[4 * c + 1] = static_cast<u8>(gmul(a0, 9) ^ gmul(a1, 14) ^
-                                        gmul(a2, 11) ^ gmul(a3, 13));
-        st[4 * c + 2] = static_cast<u8>(gmul(a0, 13) ^ gmul(a1, 9) ^
-                                        gmul(a2, 14) ^ gmul(a3, 11));
-        st[4 * c + 3] = static_cast<u8>(gmul(a0, 11) ^ gmul(a1, 13) ^
-                                        gmul(a2, 9) ^ gmul(a3, 14));
+        u8 *col = &st[4 * c];
+        // a times {09,0b,0d,0e} from a's doublings: 9 = 8+1,
+        // 11 = 8+2+1, 13 = 8+4+1, 14 = 8+4+2.
+        u8 m9[4], m11[4], m13[4], m14[4];
+        for (int r = 0; r < 4; ++r) {
+            const u8 a = col[r];
+            const u8 a2 = xtime(a);
+            const u8 a4 = xtime(a2);
+            const u8 a8 = xtime(a4);
+            m9[r] = static_cast<u8>(a8 ^ a);
+            m11[r] = static_cast<u8>(a8 ^ a2 ^ a);
+            m13[r] = static_cast<u8>(a8 ^ a4 ^ a);
+            m14[r] = static_cast<u8>(a8 ^ a4 ^ a2);
+        }
+        for (int r = 0; r < 4; ++r)
+            col[r] = static_cast<u8>(m14[r] ^ m11[(r + 1) & 3] ^
+                                     m13[(r + 2) & 3] ^
+                                     m9[(r + 3) & 3]);
     }
 }
 
@@ -152,6 +132,23 @@ addRoundKey(AesBlock &st, const u8 *rk)
 {
     for (int i = 0; i < 16; ++i)
         st[i] ^= rk[i];
+}
+
+/** Column word of 4 state bytes, row 0 in the low byte. */
+u32
+loadColumn(const u8 *p)
+{
+    return static_cast<u32>(p[0]) | static_cast<u32>(p[1]) << 8 |
+           static_cast<u32>(p[2]) << 16 | static_cast<u32>(p[3]) << 24;
+}
+
+void
+storeColumn(u8 *p, u32 w)
+{
+    p[0] = static_cast<u8>(w);
+    p[1] = static_cast<u8>(w >> 8);
+    p[2] = static_cast<u8>(w >> 16);
+    p[3] = static_cast<u8>(w >> 24);
 }
 
 } // namespace
@@ -214,18 +211,46 @@ Aes::expandKey(const u8 *key, std::size_t key_len)
 AesBlock
 Aes::encryptBlock(const AesBlock &in) const
 {
-    AesBlock st = in;
-    addRoundKey(st, &roundKeys_[0]);
+    // Each round is SubBytes + ShiftRows + MixColumns + AddRoundKey
+    // fused into T-table lookups: output column c takes row r from
+    // input column c + r (ShiftRows), through te[r].
+    const CipherTables &t = tables();
+    const u8 *rk = roundKeys_.data();
+    u32 s0 = loadColumn(&in[0]) ^ loadColumn(rk);
+    u32 s1 = loadColumn(&in[4]) ^ loadColumn(rk + 4);
+    u32 s2 = loadColumn(&in[8]) ^ loadColumn(rk + 8);
+    u32 s3 = loadColumn(&in[12]) ^ loadColumn(rk + 12);
+    auto column = [&t](u32 a, u32 b, u32 c, u32 d, const u8 *key) {
+        return t.te[0][a & 0xFF] ^ t.te[1][(b >> 8) & 0xFF] ^
+               t.te[2][(c >> 16) & 0xFF] ^ t.te[3][d >> 24] ^
+               loadColumn(key);
+    };
     for (int round = 1; round < rounds_; ++round) {
-        subBytes(st);
-        shiftRows(st);
-        mixColumns(st);
-        addRoundKey(st, &roundKeys_[16 * round]);
+        rk += 16;
+        const u32 t0 = column(s0, s1, s2, s3, rk);
+        const u32 t1 = column(s1, s2, s3, s0, rk + 4);
+        const u32 t2 = column(s2, s3, s0, s1, rk + 8);
+        const u32 t3 = column(s3, s0, s1, s2, rk + 12);
+        s0 = t0;
+        s1 = t1;
+        s2 = t2;
+        s3 = t3;
     }
-    subBytes(st);
-    shiftRows(st);
-    addRoundKey(st, &roundKeys_[16 * rounds_]);
-    return st;
+    // Last round: SubBytes + ShiftRows + AddRoundKey, no MixColumns.
+    rk += 16;
+    auto last = [&t](u32 a, u32 b, u32 c, u32 d, const u8 *key) {
+        return (static_cast<u32>(t.sbox[a & 0xFF]) |
+                static_cast<u32>(t.sbox[(b >> 8) & 0xFF]) << 8 |
+                static_cast<u32>(t.sbox[(c >> 16) & 0xFF]) << 16 |
+                static_cast<u32>(t.sbox[d >> 24]) << 24) ^
+               loadColumn(key);
+    };
+    AesBlock out;
+    storeColumn(&out[0], last(s0, s1, s2, s3, rk));
+    storeColumn(&out[4], last(s1, s2, s3, s0, rk + 4));
+    storeColumn(&out[8], last(s2, s3, s0, s1, rk + 8));
+    storeColumn(&out[12], last(s3, s0, s1, s2, rk + 12));
+    return out;
 }
 
 AesBlock

@@ -4,8 +4,13 @@
  *
  * This is the substitution-permutation network ("subperm" in the
  * paper's Figure 7) on which all the studied modes of operation are
- * built. The implementation favours clarity over speed: table-free
- * S-box generation, byte-wise MixColumns. Validated against the
+ * built. The S-box is generated from its GF(2^8) definition, not
+ * transcribed; encryption runs 32-bit T-table rounds derived from
+ * it at first use (four lookups per column per round), and the
+ * inverse cipher, used only by the ECB/CBC analysis, runs byte-wise
+ * rounds with an xtime-chain InvMixColumns. Like any lookup-table
+ * AES, the rounds index memory by secret-dependent bytes and so are
+ * exposed to cache-timing side channels. Validated against the
  * FIPS-197 appendix vectors in tests/crypto_test.cc.
  */
 

@@ -61,8 +61,18 @@ keystreamXor(CipherMode mode, const Aes &aes, const AesBlock &iv,
             incrementCounter(counter);
         }
         std::size_t n = std::min(kAesBlockSize, in.size() - off);
-        for (std::size_t i = 0; i < n; ++i)
-            out[off + i] = in[off + i] ^ ks[i];
+        if (n == kAesBlockSize) {
+            // Whole block: XOR as two 64-bit words.
+            u64 data[2], key[2];
+            std::memcpy(data, in.data() + off, sizeof data);
+            std::memcpy(key, ks.data(), sizeof key);
+            data[0] ^= key[0];
+            data[1] ^= key[1];
+            std::memcpy(out.data() + off, data, sizeof data);
+        } else {
+            for (std::size_t i = 0; i < n; ++i)
+                out[off + i] = in[off + i] ^ ks[i];
+        }
     }
     return out;
 }

@@ -8,34 +8,44 @@
 
 namespace videoapp {
 
+namespace {
+
+CachedGopPtr
+sealPayload(Status status, u32 gop_count, Bytes payload)
+{
+    auto entry = std::make_shared<CachedGop>();
+    entry->status = status;
+    entry->gopCount = gop_count;
+    entry->payload = std::move(payload);
+    entry->payloadCrc = crc32(entry->payload);
+    return entry;
+}
+
+} // namespace
+
 CachedGopPtr
 makeCachedGop(const DecodedGop &gop)
 {
-    auto entry = std::make_shared<CachedGop>();
-    entry->width = gop.width;
-    entry->height = gop.height;
-    entry->firstFrame = gop.firstFrame;
-    entry->frameCount = gop.frameCount;
-    entry->gopCount = gop.gopCount;
-    entry->blocksCorrected = gop.blocksCorrected;
-    entry->blocksUncorrectable = gop.blocksUncorrectable;
-    entry->partial = gop.blocksUncorrectable > 0;
+    GetFramesResponse head;
+    head.status =
+        gop.blocksUncorrectable > 0 ? Status::Partial : Status::Ok;
+    head.width = gop.width;
+    head.height = gop.height;
+    head.firstFrame = gop.firstFrame;
+    head.frameCount = gop.frameCount;
+    head.gopCount = gop.gopCount;
+    head.fromCache = true;
+    head.blocksCorrected = gop.blocksCorrected;
+    head.blocksUncorrectable = gop.blocksUncorrectable;
+    return sealPayload(head.status, head.gopCount,
+                       serializeGetFramesResponse(head, gop.i420));
+}
 
-    GetFramesResponse response;
-    response.status =
-        entry->partial ? Status::Partial : Status::Ok;
-    response.width = gop.width;
-    response.height = gop.height;
-    response.firstFrame = gop.firstFrame;
-    response.frameCount = gop.frameCount;
-    response.gopCount = gop.gopCount;
-    response.fromCache = true;
-    response.blocksCorrected = gop.blocksCorrected;
-    response.blocksUncorrectable = gop.blocksUncorrectable;
-    response.i420 = gop.i420;
-    entry->payload = serializeGetFramesResponse(response);
-    entry->payloadCrc = crc32(entry->payload);
-    return entry;
+CachedGopPtr
+makeCachedGop(const GetFramesResponse &head, const Video &video)
+{
+    return sealPayload(head.status, head.gopCount,
+                       serializeGetFramesResponse(head, video));
 }
 
 std::size_t

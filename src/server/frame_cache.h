@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "server/wire.h"
 
 namespace videoapp {
 
@@ -57,7 +58,8 @@ struct GopKey
     }
 };
 
-/** A decoded GOP as the read path produces it (builder input). */
+/** One GOP with its frames already packed as I420, plus its response
+ * fields: the input of makeCachedGop(const DecodedGop &). */
 struct DecodedGop
 {
     u16 width = 0;
@@ -72,23 +74,20 @@ struct DecodedGop
 };
 
 /**
- * An immutable cache entry, ready to hit the wire: the serialized
- * GET_FRAMES response payload (fromCache = true) plus its memoized
- * CRC. Handed out as shared_ptr<const CachedGop>, so a response in
- * flight keeps its bytes alive past eviction.
+ * An immutable GET_FRAMES response payload, ready to hit the wire,
+ * plus its memoized CRC. Cache entries carry fromCache = true; a
+ * miss's own response (fromCache = false, never cached) takes the
+ * same form so it reaches the socket without another copy. Handed
+ * out as shared_ptr<const CachedGop>, so a response in flight keeps
+ * its bytes alive past eviction.
  */
 struct CachedGop
 {
-    u16 width = 0;
-    u16 height = 0;
-    u32 firstFrame = 0;
-    u32 frameCount = 0;
+    /** The response's status byte, which is also the frame kind. */
+    Status status = Status::Ok;
+    /** Total GOPs of the parent video. */
     u32 gopCount = 0;
-    u64 blocksCorrected = 0;
-    u64 blocksUncorrectable = 0;
-    /** Some blocks were uncorrectable: serve as Status::Partial. */
-    bool partial = false;
-    /** Serialized GetFramesResponse payload (fromCache = true). */
+    /** Serialized GetFramesResponse payload. */
     Bytes payload;
     /** crc32(payload), computed once at build time. */
     u32 payloadCrc = 0;
@@ -103,8 +102,18 @@ struct CachedGop
 
 using CachedGopPtr = std::shared_ptr<const CachedGop>;
 
-/** Serialize @p gop into an immutable wire-ready cache entry. */
+/** Serialize @p gop into an immutable wire-ready cache entry
+ * (fromCache = true). */
 CachedGopPtr makeCachedGop(const DecodedGop &gop);
+
+/**
+ * Pack one GOP straight out of a decoded video: @p head's fields,
+ * then frames [head.firstFrame, +head.frameCount) of @p video copied
+ * once into a payload reserved to its final size (head.i420 is
+ * ignored), CRC'd once.
+ */
+CachedGopPtr makeCachedGop(const GetFramesResponse &head,
+                           const Video &video);
 
 class FrameCache
 {

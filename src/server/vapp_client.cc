@@ -258,7 +258,7 @@ VappClient::getFrames(const GetFramesRequest &request)
     if (!raw)
         return std::nullopt;
     GetFramesResponse response;
-    if (!parseGetFramesResponse(raw->payload, response)) {
+    if (!parseGetFramesResponse(std::move(raw->payload), response)) {
         lastError_ = WireError::Malformed;
         return std::nullopt;
     }

@@ -767,10 +767,9 @@ VappServer::respondCached(const std::shared_ptr<Connection> &conn,
                           u32 request_id, CachedGopPtr gop)
 {
     OutboundFrame frame;
-    const u8 kind = static_cast<u8>(
-        gop->partial ? Status::Partial : Status::Ok);
     frame.head = encodeFrameHeader(
-        kind, request_id, static_cast<u32>(gop->payload.size()));
+        static_cast<u8>(gop->status), request_id,
+        static_cast<u32>(gop->payload.size()));
     frame.tail = encodeBe32(gop->payloadCrc);
     frame.pin = std::move(gop);
     enqueueResponse(conn, std::move(frame));
@@ -945,8 +944,9 @@ VappServer::answerWrongEpoch(const ServerJob &job)
 }
 
 void
-VappServer::finishFlight(const std::string &key,
-                         const std::vector<CachedGopPtr> &table)
+VappServer::finishFlight(
+    const std::string &key, std::vector<CachedGopPtr> table,
+    const std::function<CachedGopPtr(u32)> &build)
 {
     std::vector<Waiter> waiters;
     {
@@ -958,6 +958,8 @@ VappServer::finishFlight(const std::string &key,
         flights_.erase(it);
     }
     for (const Waiter &w : waiters) {
+        if (w.gop < table.size() && !table[w.gop] && build)
+            table[w.gop] = build(w.gop);
         if (w.gop < table.size() && table[w.gop])
             respondCached(w.conn, w.requestId, table[w.gop]);
         else
@@ -998,7 +1000,7 @@ VappServer::completeFlightFromCache(const ServerJob &job,
         if (!table[g])
             return false;
     }
-    finishFlight(job.flightKey, table);
+    finishFlight(job.flightKey, std::move(table));
     respondCached(job.conn, job.requestId, std::move(hit));
     return true;
 }
@@ -1158,17 +1160,11 @@ VappServer::handleGetFrames(const ServerJob &job)
             response.gopCount = static_cast<u32>(ranges.size());
             response.firstFrame = ranges[request.gop].firstFrame;
             response.frameCount = ranges[request.gop].frameCount;
-            response.i420 =
-                packFramesI420(rep.decoded,
-                               ranges[request.gop].firstFrame,
-                               ranges[request.gop].frameCount);
             shedResponses_.fetch_add(1,
                                      std::memory_order_relaxed);
             VA_TELEM_COUNT("server.get.replica_served", 1);
-            respondPayload(job.conn,
-                           static_cast<u8>(response.status),
-                           job.requestId,
-                           serializeGetFramesResponse(response));
+            respondCached(job.conn, job.requestId,
+                          makeCachedGop(response, rep.decoded));
             return;
         }
     }
@@ -1226,47 +1222,37 @@ VappServer::handleGetFrames(const ServerJob &job)
     response.blocksCorrected = result.cells.blocksCorrected;
     response.blocksUncorrectable = result.cells.blocksUncorrectable;
 
+    // Each GOP a miss answers with is packed straight out of the
+    // decoded video into its wire payload and CRC'd, once per
+    // payload. Cache entries carry fromCache = true; the leader's
+    // own response carries false. Entries exist only for full-
+    // fidelity reads (shed jobs neither cache nor lead), so they
+    // never carry the shed fields.
+    auto pack = [&](u32 g, bool from_cache) {
+        GetFramesResponse head = response;
+        head.firstFrame = ranges[g].firstFrame;
+        head.frameCount = ranges[g].frameCount;
+        head.fromCache = from_cache;
+        VA_TELEM_COUNT("server.gops_packed", 1);
+        return makeCachedGop(head, result.decoded);
+    };
     // One decode produced every GOP of the video: cache them all so
-    // the next hot read of any GOP skips the whole read path, and
-    // build the entry table the flight's waiters are served from.
-    std::vector<CachedGopPtr> table;
-    if (leader)
-        table.resize(ranges.size());
-    for (std::size_t g = 0; g < ranges.size(); ++g) {
-        const bool own = g == request.gop;
-        if (own || cacheable || leader) {
-            DecodedGop gop;
-            gop.width = response.width;
-            gop.height = response.height;
-            gop.firstFrame = ranges[g].firstFrame;
-            gop.frameCount = ranges[g].frameCount;
-            gop.gopCount = response.gopCount;
-            gop.blocksCorrected = response.blocksCorrected;
-            gop.blocksUncorrectable = response.blocksUncorrectable;
-            gop.i420 = packFramesI420(result.decoded,
-                                      ranges[g].firstFrame,
-                                      ranges[g].frameCount);
-            if (own) {
-                response.firstFrame = gop.firstFrame;
-                response.frameCount = gop.frameCount;
-                response.i420 = gop.i420;
-            }
-            if (cacheable || leader) {
-                CachedGopPtr entry = makeCachedGop(gop);
-                if (cacheable)
-                    cache_.put(GopKey{request.name,
-                                      static_cast<u32>(g), key_id},
-                               entry);
-                if (leader)
-                    table[g] = std::move(entry);
-            }
+    // the next hot read of any GOP skips the whole read path. With
+    // the cache off, a sibling GOP is packed only if a waiter of the
+    // flight asked for it.
+    std::vector<CachedGopPtr> table(ranges.size());
+    if (cacheable) {
+        for (u32 g = 0; g < ranges.size(); ++g) {
+            table[g] = pack(g, true);
+            cache_.put(GopKey{request.name, g, key_id}, table[g]);
         }
     }
     // Cache inserts happen before the flight retires: a GET arriving
     // after the flight is gone finds the cache warm, so no request
     // can fall between the two.
     if (leader)
-        finishFlight(job.flightKey, table);
+        finishFlight(job.flightKey, std::move(table),
+                     [&pack](u32 g) { return pack(g, true); });
     if (request.gop >= ranges.size()) {
         respondStatus(job.conn, Status::NotFound, job.requestId);
         return;
@@ -1281,9 +1267,7 @@ VappServer::handleGetFrames(const ServerJob &job)
     else
         VA_TELEM_HIST("server.shed.latency_full_ms",
                       elapsedMs(job.admitted));
-    respondPayload(job.conn, static_cast<u8>(response.status),
-                   job.requestId,
-                   serializeGetFramesResponse(response));
+    respondCached(job.conn, job.requestId, pack(request.gop, false));
 }
 
 void
@@ -1337,8 +1321,9 @@ VappServer::handlePut(const ServerJob &job)
             b = static_cast<u8>(iv_rng.next());
         options.encryption = enc;
     }
-    if (service_.put(request.name, prepared, options) !=
-        ArchiveError::None) {
+    PutResponse response;
+    if (service_.put(request.name, prepared, options,
+                     &response.cellBytes) != ArchiveError::None) {
         respondStatus(job.conn, Status::Error, job.requestId);
         return;
     }
@@ -1360,12 +1345,8 @@ VappServer::handlePut(const ServerJob &job)
     if (config_.cluster != nullptr)
         config_.cluster->replicateMeta(request.name);
 
-    PutResponse response;
     response.status = Status::Ok;
     response.payloadBytes = prepared.payloadBits() / 8;
-    for (const ArchiveVideoStat &s : service_.stat())
-        if (s.name == request.name)
-            response.cellBytes = s.cellBytes;
     respondPayload(job.conn, static_cast<u8>(response.status),
                    job.requestId, serializePutResponse(response));
 }

@@ -53,6 +53,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -310,10 +311,13 @@ class VappServer
     void answerHealth(const std::shared_ptr<Connection> &conn,
                       u32 request_id);
 
-    /** Serve every waiter of @p key from the per-GOP table (out of
-     * range -> NotFound) and retire the flight. */
+    /** Retire the flight of @p key and serve its waiters from the
+     * per-GOP table (out of range -> NotFound). A requested GOP the
+     * table lacks is built by @p build, once, after the waiters are
+     * detached, so nobody packs a GOP no one asked for. */
     void finishFlight(const std::string &key,
-                      const std::vector<CachedGopPtr> &table);
+                      std::vector<CachedGopPtr> table,
+                      const std::function<CachedGopPtr(u32)> &build = {});
     /** Retire the flight answering every waiter @p status. */
     void failFlight(const std::string &key, Status status);
     /** Leader raced a cache fill: try to finish the flight (and the

@@ -237,7 +237,13 @@ void
 WireWriter::putBytes(const Bytes &bytes)
 {
     putU32(static_cast<u32>(bytes.size()));
-    out_.insert(out_.end(), bytes.begin(), bytes.end());
+    putRaw(bytes.data(), bytes.size());
+}
+
+void
+WireWriter::putRaw(const u8 *data, std::size_t size)
+{
+    out_.insert(out_.end(), data, data + size);
 }
 
 void
@@ -430,10 +436,50 @@ parseScrubRequest(const Bytes &payload, ScrubRequest &out)
 
 // --- responses ---------------------------------------------------------
 
+namespace {
+
+/** GET_FRAMES payload bytes before the frames, their u32 length
+ * prefix included. */
+constexpr std::size_t kGetFramesFieldBytes = 58;
+
+/** Bytes of frames [first, first + count) of @p video as planar
+ * I420 (clamped to the video's end). */
+std::size_t
+framesI420Bytes(const Video &video, std::size_t first,
+                std::size_t count)
+{
+    const std::size_t end = std::min(first + count, video.frames.size());
+    std::size_t bytes = 0;
+    for (std::size_t i = first; i < end; ++i) {
+        const Frame &f = video.frames[i];
+        bytes += f.y().data().size() + f.u().data().size() +
+                 f.v().data().size();
+    }
+    return bytes;
+}
+
+void
+appendFramesI420(WireWriter &w, const Video &video, std::size_t first,
+                 std::size_t count)
+{
+    const std::size_t end = std::min(first + count, video.frames.size());
+    for (std::size_t i = first; i < end; ++i) {
+        const Frame &f = video.frames[i];
+        for (const Plane *plane : {&f.y(), &f.u(), &f.v()})
+            w.putRaw(plane->data().data(), plane->data().size());
+    }
+}
+
+/** A GET_FRAMES payload whose @p i420_bytes of frames
+ * @p append_frames writes after the fields, into a buffer reserved
+ * to the payload's final size. */
+template <typename AppendFrames>
 Bytes
-serializeGetFramesResponse(const GetFramesResponse &response)
+serializeGetFrames(const GetFramesResponse &response,
+                   std::size_t i420_bytes, AppendFrames append_frames)
 {
     WireWriter w;
+    w.reserve(kGetFramesFieldBytes + i420_bytes);
     w.putU8(static_cast<u8>(response.status));
     w.putU16(response.width);
     w.putU16(response.height);
@@ -446,12 +492,51 @@ serializeGetFramesResponse(const GetFramesResponse &response)
     w.putU32(response.streamsShed);
     w.putU64(response.bytesShed);
     w.putDouble(response.shedDbEst);
-    w.putBytes(response.i420);
+    w.putU32(static_cast<u32>(i420_bytes));
+    append_frames(w);
     return w.take();
+}
+
+} // namespace
+
+Bytes
+serializeGetFramesResponse(const GetFramesResponse &response)
+{
+    return serializeGetFramesResponse(response, response.i420);
+}
+
+Bytes
+serializeGetFramesResponse(const GetFramesResponse &response,
+                           const Bytes &i420)
+{
+    return serializeGetFrames(response, i420.size(),
+                              [&i420](WireWriter &w) {
+                                  w.putRaw(i420.data(), i420.size());
+                              });
+}
+
+Bytes
+serializeGetFramesResponse(const GetFramesResponse &response,
+                           const Video &video)
+{
+    return serializeGetFrames(
+        response,
+        framesI420Bytes(video, response.firstFrame,
+                        response.frameCount),
+        [&](WireWriter &w) {
+            appendFramesI420(w, video, response.firstFrame,
+                             response.frameCount);
+        });
 }
 
 bool
 parseGetFramesResponse(const Bytes &payload, GetFramesResponse &out)
+{
+    return parseGetFramesResponse(Bytes(payload), out);
+}
+
+bool
+parseGetFramesResponse(Bytes &&payload, GetFramesResponse &out)
 {
     WireReader r(payload);
     u8 status = 0;
@@ -462,16 +547,22 @@ parseGetFramesResponse(const Bytes &payload, GetFramesResponse &out)
         out.status != Status::Degraded)
         return true; // bare-status error response
     u8 from_cache = 0;
+    u32 i420_bytes = 0;
     if (!r.getU16(out.width) || !r.getU16(out.height) ||
         !r.getU32(out.firstFrame) || !r.getU32(out.frameCount) ||
         !r.getU32(out.gopCount) || !r.getU8(from_cache) ||
         !r.getU64(out.blocksCorrected) ||
         !r.getU64(out.blocksUncorrectable) ||
         !r.getU32(out.streamsShed) || !r.getU64(out.bytesShed) ||
-        !r.getDouble(out.shedDbEst) || !r.getBytes(out.i420) ||
-        !r.exhausted())
+        !r.getDouble(out.shedDbEst) || !r.getU32(i420_bytes) ||
+        r.remaining() != i420_bytes)
         return false;
     out.fromCache = from_cache != 0;
+    // The frames end the payload: drop the fields in front of them
+    // and keep the buffer.
+    payload.erase(payload.begin(),
+                  payload.end() - static_cast<std::ptrdiff_t>(i420_bytes));
+    out.i420 = std::move(payload);
     return true;
 }
 
@@ -884,18 +975,10 @@ Bytes
 packFramesI420(const Video &video, std::size_t first,
                std::size_t count)
 {
-    Bytes out;
-    std::size_t end = std::min(first + count, video.frames.size());
-    for (std::size_t i = first; i < end; ++i) {
-        const Frame &f = video.frames[i];
-        out.insert(out.end(), f.y().data().begin(),
-                   f.y().data().end());
-        out.insert(out.end(), f.u().data().begin(),
-                   f.u().data().end());
-        out.insert(out.end(), f.v().data().begin(),
-                   f.v().data().end());
-    }
-    return out;
+    WireWriter w;
+    w.reserve(framesI420Bytes(video, first, count));
+    appendFramesI420(w, video, first, count);
+    return w.take();
 }
 
 } // namespace videoapp

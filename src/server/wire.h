@@ -224,6 +224,10 @@ class WireWriter
     /** u32 length prefix + raw bytes. */
     void putBytes(const Bytes &bytes);
     void putString(const std::string &s);
+    /** Raw bytes, no length prefix. */
+    void putRaw(const u8 *data, std::size_t size);
+    /** Capacity for @p bytes in all, so large payloads grow once. */
+    void reserve(std::size_t bytes) { out_.reserve(bytes); }
 
     Bytes take() { return std::move(out_); }
 
@@ -248,6 +252,8 @@ class WireReader
 
     /** Everything consumed (trailing garbage is a parse error). */
     bool exhausted() const { return pos_ == data_.size(); }
+    /** Bytes not yet consumed. */
+    std::size_t remaining() const { return data_.size() - pos_; }
 
   private:
     const Bytes &data_;
@@ -388,8 +394,21 @@ struct HealthResponse
 };
 
 Bytes serializeGetFramesResponse(const GetFramesResponse &response);
+/** The same payload with @p i420 as its frames in place of
+ * response.i420 (ignored), so the frames are copied only once. */
+Bytes serializeGetFramesResponse(const GetFramesResponse &response,
+                                 const Bytes &i420);
+/** The same payload with frames [response.firstFrame,
+ * +response.frameCount) of @p video as its frames (response.i420 is
+ * ignored): each plane is copied once, straight from the decoded
+ * video into a payload reserved to its final size. */
+Bytes serializeGetFramesResponse(const GetFramesResponse &response,
+                                 const Video &video);
 bool parseGetFramesResponse(const Bytes &payload,
                             GetFramesResponse &out);
+/** Parse in place: the frames, the payload's tail, become out.i420
+ * without a second buffer. @p payload is consumed. */
+bool parseGetFramesResponse(Bytes &&payload, GetFramesResponse &out);
 Bytes serializePutResponse(const PutResponse &response);
 bool parsePutResponse(const Bytes &payload, PutResponse &out);
 Bytes serializeStatResponse(const StatResponse &response);

@@ -22,6 +22,8 @@
 #include "quality/psnr.h"
 #include "video/synthetic.h"
 
+#include "golden.h"
+
 namespace videoapp {
 namespace {
 
@@ -443,6 +445,38 @@ TEST(ArchiveService_, PutFlushReopenGetIsExact)
     ASSERT_EQ(sec.error, ArchiveError::None);
     EXPECT_EQ(sec.streams.data, secret.streams.data);
     std::remove(path.c_str());
+}
+
+TEST(ArchiveService_, CtrCellImageMatchesGoldenBytes)
+{
+    // The cells one AES-CTR stream is stored as, pinned byte for
+    // byte against a fixture captured from the bytewise AES rounds:
+    // a faster cipher must not move a stored bit.
+    std::string path = tempPath("golden_cells");
+    {
+        ArchiveService service(path);
+        ASSERT_EQ(service.open(), ArchiveError::None);
+        ArchivePutOptions options;
+        options.encryption = testEncryption();
+        ASSERT_EQ(service.put("golden",
+                              prepareVideo(goldenClip(), EncoderConfig{},
+                                           EccAssignment::paperTable1()),
+                              options),
+                  ArchiveError::None);
+        ASSERT_EQ(service.flush(), ArchiveError::None);
+    }
+    Archive archive;
+    ASSERT_EQ(readArchive(path, archive), ArchiveError::None);
+    std::remove(path.c_str());
+    const VideoRecord &record = archive.videos.at("golden");
+    ASSERT_TRUE(record.crypto.has_value());
+    EXPECT_EQ(record.crypto->mode, CipherMode::CTR);
+    ASSERT_FALSE(record.streams.empty());
+    // The most strongly protected stream: the frame headers' and
+    // I-frame prefixes' share, small enough to pin whole.
+    const StreamRecord &stream = record.streams.back();
+    EXPECT_EQ(hexOf(stream.image.cells),
+              readGoldenHex("archive_ctr_cells"));
 }
 
 TEST(ArchiveService_, HeldReplicasSurviveFlushAndReopen)

@@ -1,14 +1,17 @@
 /**
  * @file
- * Unit tests for the common substrate: bit I/O, RNG, statistics.
+ * Unit tests for the common substrate: bit I/O, CRC-32, RNG,
+ * statistics.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "common/bitstream.h"
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "common/stats.h"
 
@@ -81,6 +84,67 @@ TEST(FlipBit, TogglesAndIgnoresOutOfRange)
     flipBit(b, 99); // no-op
     EXPECT_EQ(getBit(b, 0), 1u);
     EXPECT_EQ(getBit(b, 99), 0u);
+}
+
+/** Oracle: the reflected CRC-32 one bit at a time, no tables. */
+u32
+crc32Oracle(const u8 *data, std::size_t size)
+{
+    u32 crc = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < size; ++i) {
+        crc ^= data[i];
+        for (int k = 0; k < 8; ++k)
+            crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+    return ~crc;
+}
+
+Bytes
+noiseBytes(std::size_t n, u64 seed)
+{
+    Rng rng(seed);
+    Bytes out(n);
+    for (auto &b : out)
+        b = static_cast<u8>(rng.next());
+    return out;
+}
+
+TEST(Crc32, KnownAnswers)
+{
+    EXPECT_EQ(crc32(nullptr, 0), 0x00000000u);
+    EXPECT_EQ(crc32(Bytes{}), 0x00000000u);
+    const u8 a = 'a';
+    EXPECT_EQ(crc32(&a, 1), 0xE8B7BE43u);
+    const char *check = "123456789";
+    EXPECT_EQ(crc32(reinterpret_cast<const u8 *>(check),
+                    std::strlen(check)),
+              0xCBF43926u);
+}
+
+TEST(Crc32, MatchesOracleAtEveryOffsetAndLength)
+{
+    // Offsets 0-15 cover every alignment of the 16-byte stride;
+    // lengths 0-300 cover every tail length many times over.
+    Bytes buf = noiseBytes(16 + 300, 7);
+    for (std::size_t off = 0; off < 16; ++off)
+        for (std::size_t len = 0; len <= 300; ++len)
+            ASSERT_EQ(crc32(buf.data() + off, len),
+                      crc32Oracle(buf.data() + off, len))
+                << "offset " << off << " length " << len;
+    Bytes big = noiseBytes(std::size_t{1} << 20, 8);
+    EXPECT_EQ(crc32(big), crc32Oracle(big.data(), big.size()));
+}
+
+TEST(Crc32, ChainedUpdatesEqualOneShotAtEverySplit)
+{
+    Bytes buf = noiseBytes(300, 9);
+    const u32 whole = crc32(buf);
+    ASSERT_EQ(whole, crc32Oracle(buf.data(), buf.size()));
+    for (std::size_t split = 0; split <= buf.size(); ++split) {
+        u32 crc = crc32Update(0, buf.data(), split);
+        crc = crc32Update(crc, buf.data() + split, buf.size() - split);
+        ASSERT_EQ(crc, whole) << "split " << split;
+    }
 }
 
 TEST(Rng, DeterministicForSeed)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -88,10 +89,35 @@ TEST(Aes, Fips197Aes256)
     EXPECT_EQ(aes.decryptBlock(ct), pt);
 }
 
-// --- SP 800-38A mode vectors (first block each) ----------------------
+TEST(Aes, InverseCipherUndoesRandomBlocks)
+{
+    // The T-table forward cipher against the independent byte-wise
+    // inverse, over random keys of every size and random blocks.
+    Rng rng(0xAE5);
+    for (std::size_t key_len : {16u, 24u, 32u}) {
+        Bytes key(key_len);
+        for (auto &b : key)
+            b = static_cast<u8>(rng.next());
+        Aes aes(key);
+        for (int i = 0; i < 1000; ++i) {
+            AesBlock pt;
+            for (auto &b : pt)
+                b = static_cast<u8>(rng.next());
+            ASSERT_EQ(aes.decryptBlock(aes.encryptBlock(pt)), pt)
+                << "key bytes " << key_len << " block " << i;
+        }
+    }
+}
+
+// --- SP 800-38A mode vectors -----------------------------------------
 
 const char *kNistKey = "2b7e151628aed2a6abf7158809cf4f3c";
 const char *kNistPlain1 = "6bc1bee22e409f96e93d7e117393172a";
+/** F.1-F.5 plaintext: all four blocks. */
+const char *kNistPlain4 = "6bc1bee22e409f96e93d7e117393172a"
+                          "ae2d8a571e03ac9c9eb76fac45af8e51"
+                          "30c81c46a35ce411e5fbc1191a0a52ef"
+                          "f69f2445df4f9b17ad2b417be66c3710";
 
 TEST(Modes, Sp80038aEcbFirstBlock)
 {
@@ -109,20 +135,77 @@ TEST(Modes, Sp80038aCbcFirstBlock)
     EXPECT_EQ(toHex(ct.data(), 16), "7649abac8119b246cee98e9b12e9197d");
 }
 
-TEST(Modes, Sp80038aOfbFirstBlock)
+TEST(Modes, Sp80038aOfbFourBlocks)
 {
     Aes aes(fromHex(kNistKey));
     AesBlock iv = blockFromHex("000102030405060708090a0b0c0d0e0f");
-    Bytes ct = encrypt(CipherMode::OFB, aes, iv, fromHex(kNistPlain1));
-    EXPECT_EQ(toHex(ct.data(), 16), "3b3fd92eb72dad20333449f8e83cfb4a");
+    Bytes ct = encrypt(CipherMode::OFB, aes, iv, fromHex(kNistPlain4));
+    EXPECT_EQ(toHex(ct.data(), ct.size()),
+              "3b3fd92eb72dad20333449f8e83cfb4a"
+              "7789508d16918f03f53c52dac54ed825"
+              "9740051e9c5fecf64344f7a82260edcc"
+              "304c6528f659c77866a510d9c1d6ae5e");
+    EXPECT_EQ(decrypt(CipherMode::OFB, aes, iv, ct), fromHex(kNistPlain4));
 }
 
-TEST(Modes, Sp80038aCtrFirstBlock)
+TEST(Modes, Sp80038aCtrFourBlocks)
 {
     Aes aes(fromHex(kNistKey));
     AesBlock iv = blockFromHex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff");
-    Bytes ct = encrypt(CipherMode::CTR, aes, iv, fromHex(kNistPlain1));
-    EXPECT_EQ(toHex(ct.data(), 16), "874d6191b620e3261bef6864990db6ce");
+    Bytes ct = encrypt(CipherMode::CTR, aes, iv, fromHex(kNistPlain4));
+    EXPECT_EQ(toHex(ct.data(), ct.size()),
+              "874d6191b620e3261bef6864990db6ce"
+              "9806f66b7970fdff8617187bb9fffdff"
+              "5ae4df3edbd5d35e5b4f09020db03eab"
+              "1e031dda2fbe03d1792170a0f3009cee");
+    EXPECT_EQ(decrypt(CipherMode::CTR, aes, iv, ct), fromHex(kNistPlain4));
+}
+
+TEST(Modes, KeystreamModesMatchBlockByBlockReference)
+{
+    // Random keys, IVs and data of lengths that end mid-block,
+    // against a keystream built one encryptBlock call at a time.
+    Rng rng(0x5EED);
+    auto random_bytes = [&rng](std::size_t n) {
+        Bytes out(n);
+        for (auto &b : out)
+            b = static_cast<u8>(rng.next());
+        return out;
+    };
+    for (std::size_t key_len : {16u, 24u, 32u}) {
+        Aes aes(random_bytes(key_len));
+        for (std::size_t len : {1u, 15u, 17u, 31u, 33u, 250u, 4099u}) {
+            AesBlock iv;
+            Bytes iv_bytes = random_bytes(kAesBlockSize);
+            std::copy(iv_bytes.begin(), iv_bytes.end(), iv.begin());
+            if (len == 250)
+                iv.fill(0xFF); // the counter wraps every byte
+            Bytes data = random_bytes(len);
+            for (CipherMode mode : {CipherMode::OFB, CipherMode::CTR}) {
+                Bytes expected(len);
+                AesBlock state = iv;
+                for (std::size_t off = 0; off < len;
+                     off += kAesBlockSize) {
+                    AesBlock ks;
+                    if (mode == CipherMode::OFB) {
+                        state = aes.encryptBlock(state);
+                        ks = state;
+                    } else {
+                        ks = aes.encryptBlock(state);
+                        for (int i = kAesBlockSize - 1; i >= 0; --i)
+                            if (++state[i] != 0)
+                                break;
+                    }
+                    for (std::size_t i = 0;
+                         i < kAesBlockSize && off + i < len; ++i)
+                        expected[off + i] = data[off + i] ^ ks[i];
+                }
+                EXPECT_EQ(encrypt(mode, aes, iv, data), expected)
+                    << cipherModeName(mode) << " key bytes " << key_len
+                    << " length " << len;
+            }
+        }
+    }
 }
 
 // --- Round trips ------------------------------------------------------

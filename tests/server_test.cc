@@ -33,6 +33,8 @@
 #include "server/vapp_server.h"
 #include "video/synthetic.h"
 
+#include "golden.h"
+
 namespace videoapp {
 namespace {
 
@@ -946,6 +948,37 @@ class ServerLoopback : public ::testing::Test
         return fd;
     }
 
+    /** Send @p frame on raw socket @p fd and read back one whole
+     * response frame — header, payload and CRC trailer — exactly as
+     * the server wrote it (empty on a short read). */
+    static Bytes
+    rawExchange(int fd, const Bytes &frame)
+    {
+        if (::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL) !=
+            static_cast<ssize_t>(frame.size()))
+            return {};
+        auto read_into = [fd](Bytes &out, std::size_t size) {
+            std::size_t off = out.size();
+            out.resize(off + size);
+            while (off < out.size()) {
+                ssize_t n =
+                    ::recv(fd, out.data() + off, out.size() - off, 0);
+                if (n <= 0)
+                    return false;
+                off += static_cast<std::size_t>(n);
+            }
+            return true;
+        };
+        Bytes response;
+        WireFrameHeader header;
+        if (!read_into(response, kWireHeaderBytes) ||
+            parseFrameHeader(response.data(), response.size(),
+                             header) != WireError::None ||
+            !read_into(response, header.payloadLength + 4u))
+            return {};
+        return response;
+    }
+
     std::string path_;
     std::unique_ptr<ArchiveService> service_;
     std::unique_ptr<VappServer> server_;
@@ -1139,6 +1172,7 @@ TEST_F(ServerLoopback, RemotePutRoundTripsThroughTheArchive)
     ASSERT_TRUE(listing.has_value());
     ASSERT_EQ(listing->videos.size(), 1u);
     EXPECT_EQ(listing->videos[0].name, "pushed");
+    EXPECT_EQ(listing->videos[0].cellBytes, stored->cellBytes);
 }
 
 TEST_F(ServerLoopback, HostileBytesGetCleanErrorsNeverCrashes)
@@ -1433,6 +1467,91 @@ TEST_F(ServerLoopback, SingleFlightColdGetsCoalesce)
     }
 }
 
+TEST_F(ServerLoopback, CacheOffMissPacksOnlyTheGopsAskedFor)
+{
+    VappServerConfig config;
+    config.cacheBytes = 0;
+    config.workers = 2;
+    startServer(config);
+    SyntheticSpec spec = tinySpec(83);
+    spec.frames = 32;
+    EncoderConfig encoder;
+    encoder.gop.gopSize = 4;
+    encoder.gop.bFrames = 1;
+    ASSERT_EQ(service_->put("clip",
+                            prepareVideo(generateSynthetic(spec),
+                                         encoder,
+                                         EccAssignment::paperTable1()),
+                            {}),
+              ArchiveError::None);
+    ArchiveGetResult local = service_->get("clip");
+    ASSERT_EQ(local.error, ArchiveError::None);
+    auto ranges = gopRanges(local.frameHeaders,
+                            local.decoded.frames.size());
+    ASSERT_EQ(ranges.size(), 8u);
+
+    // A lone cold GET of GOP 0 leads a flight nobody joins: with no
+    // cache to fill it packs its own GOP and no other.
+    VappClient c = client();
+    GetFramesRequest request;
+    request.name = "clip";
+    u64 packed_before = counterValue("server.gops_packed");
+    auto lone = c.getFrames(request);
+    ASSERT_TRUE(lone.has_value());
+    ASSERT_EQ(lone->status, Status::Ok);
+    EXPECT_FALSE(lone->fromCache);
+    if (telemetry::kEnabled) {
+        EXPECT_EQ(counterValue("server.gops_packed"),
+                  packed_before + 1);
+    }
+
+    // Waiters for sibling GOPs 3, 5 and 5 again: one pack each for
+    // the leader's GOP 0 and for GOPs 3 and 5, all answers exact.
+    server_->setDrainPaused(true);
+    const std::vector<u32> gops = {0, 3, 5, 5};
+    std::vector<std::unique_ptr<VappClient>> clients;
+    const u64 coalesced_before = server_->coalescedGets();
+    for (u32 g : gops) {
+        request.gop = g;
+        clients.push_back(std::make_unique<VappClient>());
+        ASSERT_TRUE(
+            clients.back()->connect("127.0.0.1", server_->port()));
+        ASSERT_TRUE(clients.back()->send(
+            Opcode::GetFrames, serializeGetFramesRequest(request)));
+        // Admission order fixes who leads: wait for each to land.
+        auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(10);
+        while (server_->queueDepth() +
+                       (server_->coalescedGets() - coalesced_before) <
+                   clients.size() &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(server_->coalescedGets() - coalesced_before,
+              gops.size() - 1);
+    packed_before = counterValue("server.gops_packed");
+    server_->setDrainPaused(false);
+    for (std::size_t i = 0; i < gops.size(); ++i) {
+        auto raw = clients[i]->receive();
+        ASSERT_TRUE(raw.has_value());
+        GetFramesResponse response;
+        ASSERT_TRUE(
+            parseGetFramesResponse(std::move(raw->payload), response));
+        ASSERT_EQ(response.status, Status::Ok);
+        EXPECT_EQ(response.fromCache, i > 0);
+        const GopRange &range = ranges[gops[i]];
+        EXPECT_EQ(response.firstFrame, range.firstFrame);
+        EXPECT_EQ(response.frameCount, range.frameCount);
+        EXPECT_EQ(response.i420,
+                  packFramesI420(local.decoded, range.firstFrame,
+                                 range.frameCount));
+    }
+    if (telemetry::kEnabled) {
+        EXPECT_EQ(counterValue("server.gops_packed"),
+                  packed_before + 3);
+    }
+}
+
 TEST_F(ServerLoopback, PartialWritesResumeViaEpollout)
 {
     VappServerConfig config;
@@ -1537,6 +1656,49 @@ TEST_F(ServerLoopback, ServerShutdownYieldsTypedConnectionClosed)
     auto second = c.getFrames(request);
     EXPECT_FALSE(second.has_value());
     EXPECT_EQ(c.lastError(), WireError::ConnectionClosed);
+}
+
+TEST_F(ServerLoopback, WireFramesMatchGoldenBytes)
+{
+    // Whole response frames for one fixed AES-CTR clip — a PUT, the
+    // cold GET that decodes it and the cache hit after — pinned
+    // byte for byte against fixtures captured from the bytewise CRC
+    // and AES implementations, so faster kernels or a new packing
+    // path cannot move a served byte.
+    startServer();
+    Video clip = goldenClip();
+    PutRequest put;
+    put.name = "golden";
+    put.width = static_cast<u16>(clip.width());
+    put.height = static_cast<u16>(clip.height());
+    put.frameCount = static_cast<u32>(clip.frames.size());
+    put.i420 = packFramesI420(clip, 0, clip.frames.size());
+    put.key = Bytes(16, 0x3C);
+    put.cipherMode = static_cast<u8>(CipherMode::CTR);
+    put.keyId = 7;
+    put.ivSeed = 11;
+    GetFramesRequest get;
+    get.name = "golden";
+    get.key = put.key;
+
+    int fd = rawConnect();
+    ASSERT_GE(fd, 0);
+    Bytes put_frame = rawExchange(
+        fd, encodeFrame(static_cast<u8>(Opcode::Put), 1,
+                        serializePutRequest(put)));
+    Bytes miss_frame = rawExchange(
+        fd, encodeFrame(static_cast<u8>(Opcode::GetFrames), 2,
+                        serializeGetFramesRequest(get)));
+    Bytes hit_frame = rawExchange(
+        fd, encodeFrame(static_cast<u8>(Opcode::GetFrames), 3,
+                        serializeGetFramesRequest(get)));
+    ::close(fd);
+
+    EXPECT_EQ(hexOf(put_frame), readGoldenHex("server_put_response"));
+    EXPECT_EQ(hexOf(miss_frame),
+              readGoldenHex("server_get_miss_response"));
+    EXPECT_EQ(hexOf(hit_frame),
+              readGoldenHex("server_get_hit_response"));
 }
 
 // --- importance-aware load shedding -----------------------------------
