@@ -6,6 +6,7 @@
 #include <memory>
 #include <set>
 
+#include "common/bytes.h"
 #include "common/crc32.h"
 #include "common/parallel.h"
 #include "common/telemetry.h"
@@ -165,6 +166,8 @@ ArchiveService::put(const std::string &name,
                     const ArchivePutOptions &options, u64 *cell_bytes)
 {
     VA_TELEM_LATENCY("archive.put");
+    if (name.size() > kMaxArchiveNameBytes)
+        return ArchiveError::NameTooLong;
     // Heavy work (encrypt + BCH encode) happens outside any lock;
     // only the map insert needs the directory writer lock.
     VideoRecord record = recordFromPrepared(prepared, options.encryption);
@@ -637,6 +640,8 @@ ArchiveService::exportMeta(const std::string &name) const
 ArchiveError
 ArchiveService::putReplicaMeta(const std::string &name, Bytes meta)
 {
+    if (name.size() > kMaxArchiveNameBytes)
+        return ArchiveError::NameTooLong;
     RecordMeta parsed;
     if (name.empty() ||
         parseRecordMeta(meta, parsed, kReplicaPayloadBound) !=
@@ -719,27 +724,6 @@ ArchiveService::damageMetaForTest(const std::string &name)
 
 // --- record migration (rebalance tier) ---------------------------------
 
-namespace {
-
-void
-appendBe32(Bytes &out, u32 v)
-{
-    out.push_back(static_cast<u8>(v >> 24));
-    out.push_back(static_cast<u8>(v >> 16));
-    out.push_back(static_cast<u8>(v >> 8));
-    out.push_back(static_cast<u8>(v));
-}
-
-u32
-readBe32(const u8 *p)
-{
-    return static_cast<u32>(p[0]) << 24 |
-           static_cast<u32>(p[1]) << 16 |
-           static_cast<u32>(p[2]) << 8 | static_cast<u32>(p[3]);
-}
-
-} // namespace
-
 bool
 ArchiveService::contains(const std::string &name) const
 {
@@ -758,18 +742,12 @@ ArchiveService::exportRecord(const std::string &name) const
     std::lock_guard shard(shardFor(name));
     const VideoRecord &record = it->second;
     Bytes meta = serializeRecordMeta(record);
-    std::size_t cells = 0;
+    ByteWriter out(4 + meta.size() + record.cellBytes());
+    out.putBlob32(meta);
     for (const StreamRecord &s : record.streams)
-        cells += s.image.cells.size();
-    Bytes out;
-    out.reserve(4 + meta.size() + cells);
-    appendBe32(out, static_cast<u32>(meta.size()));
-    out.insert(out.end(), meta.begin(), meta.end());
-    for (const StreamRecord &s : record.streams)
-        out.insert(out.end(), s.image.cells.begin(),
-                   s.image.cells.end());
+        out.putRaw(s.image.cells);
     VA_TELEM_COUNT("archive.record_exports", 1);
-    return out;
+    return out.take();
 }
 
 ArchiveError
@@ -780,46 +758,18 @@ ArchiveService::adoptRecord(const std::string &name,
     VA_TELEM_LATENCY("archive.adopt_record");
     if (adopted != nullptr)
         *adopted = false;
-    if (name.empty() || blob.size() < 4)
-        return ArchiveError::Malformed;
-    const u32 meta_len = readBe32(blob.data());
-    if (static_cast<u64>(meta_len) + 4 > blob.size())
-        return ArchiveError::Malformed;
-    Bytes meta(blob.begin() + 4, blob.begin() + 4 + meta_len);
-    RecordMeta parsed;
-    if (parseRecordMeta(meta, parsed, kReplicaPayloadBound) !=
-        ArchiveError::None)
-        return ArchiveError::Malformed;
-
-    // The cell region must match the per-stream shapes exactly: a
-    // short or padded blob belongs to some other record.
-    u64 cells_total = 0;
-    for (const StreamMeta &m : parsed.streams)
-        cells_total += m.cellLength;
-    if (cells_total != blob.size() - 4 - meta_len)
-        return ArchiveError::Malformed;
-
+    if (name.size() > kMaxArchiveNameBytes)
+        return ArchiveError::NameTooLong;
+    ByteReader in(blob);
+    std::span<const u8> meta = in.getRaw(in.getU32());
+    // Placeholder sizes are bounded by the blob, as a container
+    // bounds them by the record: they describe payloads its cells
+    // hold.
     VideoRecord record;
-    record.layout = std::move(parsed.layout);
-    record.crypto = parsed.crypto;
-    record.policy = parsed.policy;
-    record.streams.reserve(parsed.streams.size());
-    std::size_t off = 4 + meta_len;
-    for (const StreamMeta &m : parsed.streams) {
-        StreamRecord s;
-        s.schemeT = m.schemeT;
-        s.bitLength = m.bitLength;
-        s.trueBytes = m.trueBytes;
-        s.cellsCrc = m.cellsCrc;
-        s.image.schemeT = m.schemeT;
-        s.image.payloadBytes = m.payloadBytes;
-        s.image.cells.assign(
-            blob.begin() + static_cast<std::ptrdiff_t>(off),
-            blob.begin() +
-                static_cast<std::ptrdiff_t>(off + m.cellLength));
-        off += static_cast<std::size_t>(m.cellLength);
-        record.streams.push_back(std::move(s));
-    }
+    if (name.empty() || !in.ok() ||
+        parseRecord(meta, in.getRaw(in.remaining()), blob.size(),
+                    record) != ArchiveError::None)
+        return ArchiveError::Malformed;
 
     std::unique_lock dir(dirMutex_);
     if (!overwrite &&
@@ -828,7 +778,7 @@ ArchiveService::adoptRecord(const std::string &name,
         return ArchiveError::None;
     }
     archive_.videos[name] = std::move(record);
-    metaCrc_[name] = crc32(meta);
+    metaCrc_[name] = crc32(meta.data(), meta.size());
     if (adopted != nullptr)
         *adopted = true;
     VA_TELEM_COUNT("archive.record_adopts", 1);

@@ -180,7 +180,8 @@ class ArchiveService
 
     /** Store (or replace) @p name. Encoding runs on the pool. When
      * @p cell_bytes is set it receives the stored record's cell-image
-     * bytes (its stat() cellBytes). */
+     * bytes (its stat() cellBytes). NameTooLong, before any work,
+     * for a name beyond kMaxArchiveNameBytes. */
     ArchiveError put(const std::string &name,
                      const PreparedVideo &prepared,
                      const ArchivePutOptions &options = {},
@@ -250,7 +251,8 @@ class ArchiveService
     /**
      * Hold a replica precise-meta blob for @p name on behalf of a
      * peer shard. The blob is validated (total parse) before it is
-     * kept; Malformed rejects it. Replicas live beside the archive
+     * kept; Malformed rejects it, NameTooLong a name beyond
+     * kMaxArchiveNameBytes. Replicas live beside the archive
      * in memory — they protect against *metadata* damage on the
      * owner, not node loss, and are re-shipped on every PUT.
      */
@@ -298,7 +300,8 @@ class ArchiveService
      * Install a record from an exportRecord() blob. The blob is
      * fully validated (total meta parse, exact cell-region length
      * against the per-stream shapes) before anything is touched;
-     * Malformed rejects it. When the name already exists and
+     * Malformed rejects it, NameTooLong a name beyond
+     * kMaxArchiveNameBytes. When the name already exists and
      * @p overwrite is false, the existing record wins — a concurrent
      * PUT at the new owner must never be clobbered by a migration
      * push — and the call returns None with *adopted = false.

@@ -1,9 +1,11 @@
 #include "archive/vapp_container.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <fstream>
 
+#include "common/bytes.h"
 #include "common/crc32.h"
 
 namespace videoapp {
@@ -13,70 +15,13 @@ namespace {
 constexpr u32 kRecordMagic = 0x56524543; // "VREC"
 constexpr std::size_t kSuperblockSize = 32;
 
-void
-putU16(Bytes &out, u16 v)
-{
-    out.push_back(static_cast<u8>(v >> 8));
-    out.push_back(static_cast<u8>(v));
-}
-
-void
-putU32(Bytes &out, u32 v)
-{
-    putU16(out, static_cast<u16>(v >> 16));
-    putU16(out, static_cast<u16>(v));
-}
-
-void
-putU64(Bytes &out, u64 v)
-{
-    putU32(out, static_cast<u32>(v >> 32));
-    putU32(out, static_cast<u32>(v));
-}
-
-/** Bounds-checked big-endian reader over a byte range. */
-struct ByteCursor
-{
-    const u8 *data;
-    std::size_t size;
-    std::size_t pos = 0;
-    bool ok = true;
-
-    u8
-    u8v()
-    {
-        if (pos >= size) {
-            ok = false;
-            return 0;
-        }
-        return data[pos++];
-    }
-
-    u16
-    u16v()
-    {
-        // Two statements: the evaluation order of a|b is unspecified.
-        u16 hi = u8v();
-        u16 lo = u8v();
-        return static_cast<u16>(hi << 8 | lo);
-    }
-
-    u32
-    u32v()
-    {
-        u32 hi = u16v();
-        return hi << 16 | u16v();
-    }
-
-    u64
-    u64v()
-    {
-        u64 hi = u32v();
-        return hi << 32 | u32v();
-    }
-
-    std::size_t remaining() const { return ok ? size - pos : 0; }
-};
+/** Smallest encodings: one payload placeholder size, one
+ * stream-table row, one directory entry (empty name) and one held
+ * replica (empty name and blob). */
+constexpr std::size_t kPlaceholderBytes = 8;
+constexpr std::size_t kStreamMetaBytes = 37;
+constexpr std::size_t kDirEntryMinBytes = 30;
+constexpr std::size_t kReplicaMinBytes = 6;
 
 } // namespace
 
@@ -94,6 +39,7 @@ archiveErrorName(ArchiveError error)
       case ArchiveError::NotFound: return "not-found";
       case ArchiveError::KeyRequired: return "key-required";
       case ArchiveError::KeyMismatch: return "key-mismatch";
+      case ArchiveError::NameTooLong: return "name-too-long";
     }
     return "unknown";
 }
@@ -119,18 +65,15 @@ VideoRecord::cellBytes() const
 Bytes
 serializeRecordMeta(const VideoRecord &record)
 {
-    Bytes meta;
-    putU32(meta, kRecordMagic);
-
-    Bytes headers = serializeHeaders(record.layout);
-    putU32(meta, static_cast<u32>(headers.size()));
-    meta.insert(meta.end(), headers.begin(), headers.end());
+    ByteWriter meta;
+    meta.putU32(kRecordMagic);
+    meta.putBlob32(serializeHeaders(record.layout));
 
     // Payload placeholders: only the per-frame byte sizes survive;
     // the content lives in the stream cell images.
-    putU32(meta, static_cast<u32>(record.layout.payloads.size()));
+    meta.putU32(static_cast<u32>(record.layout.payloads.size()));
     for (const Bytes &p : record.layout.payloads)
-        putU64(meta, p.size());
+        meta.putU64(p.size());
 
     // Crypto section tag: 0 = none, 1 = the version-1 layout,
     // 2 = version-1 fields plus the key-check value. Records whose
@@ -138,110 +81,107 @@ serializeRecordMeta(const VideoRecord &record)
     // parse -> serialize stays byte-canonical for old blobs.
     const u8 crypto_tag =
         record.crypto ? (record.crypto->keyCheck != 0 ? 2 : 1) : 0;
-    meta.push_back(crypto_tag);
+    meta.putU8(crypto_tag);
     if (record.crypto) {
-        meta.push_back(static_cast<u8>(record.crypto->mode));
-        putU32(meta, record.crypto->keyId);
-        meta.insert(meta.end(), record.crypto->masterIv.begin(),
-                    record.crypto->masterIv.end());
+        meta.putU8(static_cast<u8>(record.crypto->mode));
+        meta.putU32(record.crypto->keyId);
+        meta.putRaw(record.crypto->masterIv);
         if (crypto_tag == 2)
-            putU32(meta, record.crypto->keyCheck);
+            meta.putU32(record.crypto->keyCheck);
     }
 
-    putU16(meta, static_cast<u16>(record.streams.size()));
+    meta.putU16(static_cast<u16>(record.streams.size()));
     for (const StreamRecord &s : record.streams) {
-        meta.push_back(static_cast<u8>(s.schemeT));
-        putU64(meta, s.bitLength);
-        putU64(meta, s.trueBytes);
-        putU64(meta, s.image.payloadBytes);
-        putU64(meta, s.image.cells.size());
-        putU32(meta, s.cellsCrc);
+        meta.putU8(static_cast<u8>(s.schemeT));
+        meta.putU64(s.bitLength);
+        meta.putU64(s.trueBytes);
+        meta.putU64(s.image.payloadBytes);
+        meta.putU64(s.image.cells.size());
+        meta.putU32(s.cellsCrc);
     }
     // Version 2: the policy record rides after the stream table.
     // Absent on version-1 records, and presence is unambiguous —
     // a version-1 record ends exactly at the stream table.
     if (record.policy)
         appendStreamPolicy(meta, *record.policy);
-    return meta;
+    return meta.take();
 }
 
 ArchiveError
-parseRecordMeta(const Bytes &meta, RecordMeta &out, u64 payload_bound)
+parseRecordMeta(std::span<const u8> meta, RecordMeta &out,
+                u64 payload_bound)
 {
-    const u8 *bytes = meta.data();
-    const std::size_t meta_len = meta.size();
-    ByteCursor in{bytes, meta_len};
-    if (in.u32v() != kRecordMagic)
-        return in.ok ? ArchiveError::Malformed
-                     : ArchiveError::ShortRead;
-
-    u32 header_len = in.u32v();
-    if (!in.ok || header_len > in.remaining())
+    ByteReader in(meta);
+    if (in.getU32() != kRecordMagic)
+        return in.ok() ? ArchiveError::Malformed
+                       : ArchiveError::ShortRead;
+    std::span<const u8> headers = in.getRaw(in.getU32());
+    if (!in.ok())
         return ArchiveError::ShortRead;
-    Bytes header_blob(bytes + in.pos, bytes + in.pos + header_len);
-    in.pos += header_len;
-    auto layout = deserializeHeaders(header_blob);
+    auto layout = deserializeHeaders(headers);
     if (!layout)
         return ArchiveError::Malformed;
     out.layout = std::move(*layout);
 
-    u32 frames = in.u32v();
-    if (!in.ok || frames > in.remaining() / 8)
+    const std::size_t frames =
+        in.boundedCount(in.getU32(), kPlaceholderBytes);
+    if (!in.ok())
         return ArchiveError::ShortRead;
     if (frames != out.layout.frameHeaders.size())
         return ArchiveError::Malformed;
-    out.layout.payloads.clear();
+    // Placeholder sizes can only come from real payloads, which the
+    // (larger) cell section holds; anything bigger is bogus and must
+    // not drive allocation. Each size is checked against what is
+    // left of the bound, so no pair of sizes can wrap the total.
+    const u64 bound = payload_bound + 16 * u64{frames} + 1024;
     u64 payload_total = 0;
-    for (u32 f = 0; f < frames; ++f) {
-        u64 size = in.u64v();
-        payload_total += size;
-        // Placeholder sizes can only come from real payloads, which
-        // the (larger) cell section holds; anything bigger is bogus
-        // and must not drive allocation.
-        if (!in.ok ||
-            payload_total > payload_bound + 16 * u64{frames} + 1024)
+    out.layout.payloads.clear();
+    for (std::size_t f = 0; f < frames; ++f) {
+        const u64 size = in.getU64();
+        if (size > bound - payload_total)
             return ArchiveError::Malformed;
-        out.layout.payloads.emplace_back(
-            static_cast<std::size_t>(size), 0);
+        payload_total += size;
+        out.layout.payloads.emplace_back(static_cast<std::size_t>(size),
+                                         0);
     }
 
     out.crypto.reset();
-    u8 crypto_tag = in.u8v();
+    const u8 crypto_tag = in.getU8();
     if (crypto_tag > 2)
         return ArchiveError::Malformed;
     if (crypto_tag != 0) {
         StreamCryptoMeta crypto;
-        u8 mode = in.u8v();
+        const u8 mode = in.getU8();
         if (mode > static_cast<u8>(CipherMode::CFB))
             return ArchiveError::Malformed;
         crypto.mode = static_cast<CipherMode>(mode);
-        crypto.keyId = in.u32v();
-        for (u8 &b : crypto.masterIv)
-            b = in.u8v();
+        crypto.keyId = in.getU32();
+        std::span<const u8> iv = in.getRaw(crypto.masterIv.size());
+        std::copy(iv.begin(), iv.end(), crypto.masterIv.begin());
         if (crypto_tag == 2) {
-            crypto.keyCheck = in.u32v();
+            crypto.keyCheck = in.getU32();
             // Tag 2 exists only to carry a non-zero check; a zero
             // one re-serializes as tag 1 and breaks canonicality.
-            if (in.ok && crypto.keyCheck == 0)
+            if (in.ok() && crypto.keyCheck == 0)
                 return ArchiveError::Malformed;
         }
-        if (!in.ok)
+        if (!in.ok())
             return ArchiveError::ShortRead;
         out.crypto = crypto;
     }
 
-    u16 stream_count = in.u16v();
-    out.streams.assign(stream_count, StreamMeta{});
+    out.streams.assign(in.boundedCount(in.getU16(), kStreamMetaBytes),
+                       StreamMeta{});
+    if (!in.ok())
+        return ArchiveError::ShortRead;
     int prev_t = -1;
     for (StreamMeta &s : out.streams) {
-        s.schemeT = in.u8v();
-        s.bitLength = in.u64v();
-        s.trueBytes = in.u64v();
-        s.payloadBytes = in.u64v();
-        s.cellLength = in.u64v();
-        s.cellsCrc = in.u32v();
-        if (!in.ok)
-            return ArchiveError::ShortRead;
+        s.schemeT = in.getU8();
+        s.bitLength = in.getU64();
+        s.trueBytes = in.getU64();
+        s.payloadBytes = in.getU64();
+        s.cellLength = in.getU64();
+        s.cellsCrc = in.getU32();
         if (s.schemeT <= prev_t || s.schemeT > 58 ||
             s.trueBytes > s.payloadBytes ||
             s.payloadBytes > s.cellLength)
@@ -252,46 +192,37 @@ parseRecordMeta(const Bytes &meta, RecordMeta &out, u64 payload_bound)
     // streams of the table above (one entry per stream, same scheme
     // t values) so no layer can ever see two answers.
     out.policy.reset();
-    if (in.ok && in.pos < meta_len) {
+    if (in.remaining() > 0) {
         StreamPolicy policy;
-        if (!parseStreamPolicy(bytes, meta_len, in.pos, policy))
-            return ArchiveError::Malformed;
-        if (policy.entries.size() != out.streams.size())
+        if (!parseStreamPolicy(in, policy) ||
+            policy.entries.size() != out.streams.size())
             return ArchiveError::Malformed;
         for (std::size_t i = 0; i < policy.entries.size(); ++i)
             if (policy.entries[i].schemeT != out.streams[i].schemeT)
                 return ArchiveError::Malformed;
         out.policy = std::move(policy);
     }
-    if (in.pos != meta_len)
-        return ArchiveError::Malformed;
-    return ArchiveError::None;
+    return in.exhausted() ? ArchiveError::None : ArchiveError::Malformed;
 }
 
-namespace {
-
-/**
- * Parse a record's meta + cells range. @p meta_len bytes of metadata
- * at @p bytes, cells following up to @p record_len.
- */
 ArchiveError
-parseRecord(const u8 *bytes, std::size_t meta_len,
-            std::size_t record_len, VideoRecord &record)
+parseRecord(std::span<const u8> meta, std::span<const u8> cells,
+            u64 payload_bound, VideoRecord &record)
 {
-    RecordMeta meta;
-    ArchiveError err = parseRecordMeta(
-        Bytes(bytes, bytes + meta_len), meta, record_len);
+    RecordMeta parsed;
+    ArchiveError err = parseRecordMeta(meta, parsed, payload_bound);
     if (err != ArchiveError::None)
         return err;
-    record.layout = std::move(meta.layout);
-    record.crypto = meta.crypto;
-    record.policy = meta.policy;
-    record.streams.assign(meta.streams.size(), StreamRecord{});
-    std::size_t cell_pos = meta_len;
-    for (std::size_t i = 0; i < meta.streams.size(); ++i) {
-        const StreamMeta &m = meta.streams[i];
+    record.layout = std::move(parsed.layout);
+    record.crypto = parsed.crypto;
+    record.policy = std::move(parsed.policy);
+    record.streams.assign(parsed.streams.size(), StreamRecord{});
+    ByteReader in(cells);
+    for (std::size_t i = 0; i < parsed.streams.size(); ++i) {
+        const StreamMeta &m = parsed.streams[i];
         StreamRecord &s = record.streams[i];
-        if (m.cellLength > record_len - cell_pos)
+        std::span<const u8> image = in.getRaw(m.cellLength);
+        if (!in.ok())
             return ArchiveError::Malformed;
         s.schemeT = m.schemeT;
         s.bitLength = m.bitLength;
@@ -299,17 +230,10 @@ parseRecord(const u8 *bytes, std::size_t meta_len,
         s.cellsCrc = m.cellsCrc;
         s.image.schemeT = m.schemeT;
         s.image.payloadBytes = m.payloadBytes;
-        s.image.cells.assign(
-            bytes + cell_pos,
-            bytes + cell_pos + static_cast<std::size_t>(m.cellLength));
-        cell_pos += static_cast<std::size_t>(m.cellLength);
+        s.image.cells.assign(image.begin(), image.end());
     }
-    if (cell_pos != record_len)
-        return ArchiveError::Malformed;
-    return ArchiveError::None;
+    return in.exhausted() ? ArchiveError::None : ArchiveError::Malformed;
 }
-
-} // namespace
 
 Bytes
 serializeArchive(const Archive &archive)
@@ -321,65 +245,46 @@ serializeArchive(const Archive &archive)
                             ? std::min(archive.version, 2u)
                             : std::max(archive.version, 3u);
 
-    Bytes out(kSuperblockSize, 0);
-
-    struct DirEntry
-    {
-        const std::string *name;
-        u64 offset = 0;
-        u64 length = 0;
-        u64 metaLength = 0;
-        u32 metaCrc = 0;
-    };
-    std::vector<DirEntry> entries;
-    entries.reserve(archive.videos.size());
-
+    // Records first, behind room for the superblock; the directory
+    // follows them and the superblock, which covers it, comes last.
+    ByteWriter out;
+    out.putRaw(std::array<u8, kSuperblockSize>{});
+    ByteWriter dir;
+    dir.putU32(static_cast<u32>(archive.videos.size()));
     for (const auto &[name, record] : archive.videos) {
-        DirEntry e;
-        e.name = &name;
-        e.offset = out.size();
+        const u64 offset = out.size();
         Bytes meta = serializeRecordMeta(record);
-        e.metaLength = meta.size();
-        e.metaCrc = crc32(meta);
-        out.insert(out.end(), meta.begin(), meta.end());
+        out.putRaw(meta);
         for (const StreamRecord &s : record.streams)
-            out.insert(out.end(), s.image.cells.begin(),
-                       s.image.cells.end());
-        e.length = out.size() - e.offset;
-        entries.push_back(e);
-    }
-
-    u64 dir_offset = out.size();
-    Bytes dir;
-    putU32(dir, static_cast<u32>(entries.size()));
-    for (const DirEntry &e : entries) {
-        putU16(dir, static_cast<u16>(e.name->size()));
-        dir.insert(dir.end(), e.name->begin(), e.name->end());
-        putU64(dir, e.offset);
-        putU64(dir, e.length);
-        putU64(dir, e.metaLength);
-        putU32(dir, e.metaCrc);
+            out.putRaw(s.image.cells);
+        dir.putString16(name);
+        dir.putU64(offset);
+        dir.putU64(out.size() - offset);
+        dir.putU64(meta.size());
+        dir.putU32(crc32(meta));
     }
     if (version >= 3) {
-        putU32(dir, static_cast<u32>(archive.replicas.size()));
+        dir.putU32(static_cast<u32>(archive.replicas.size()));
         for (const auto &[name, blob] : archive.replicas) {
-            putU16(dir, static_cast<u16>(name.size()));
-            dir.insert(dir.end(), name.begin(), name.end());
-            putU32(dir, static_cast<u32>(blob.size()));
-            dir.insert(dir.end(), blob.begin(), blob.end());
+            dir.putString16(name);
+            dir.putBlob32(blob);
         }
     }
-    out.insert(out.end(), dir.begin(), dir.end());
+    if (!dir.ok())
+        return {}; // a name the u16 length prefix cannot carry
+    const u64 dir_offset = out.size();
+    out.putRaw(dir.bytes());
 
-    Bytes super;
-    putU32(super, kVappMagic);
-    putU32(super, version);
-    putU64(super, dir_offset);
-    putU64(super, dir.size());
-    putU32(super, crc32(dir));
-    putU32(super, crc32(super));
-    std::copy(super.begin(), super.end(), out.begin());
-    return out;
+    ByteWriter super(kSuperblockSize);
+    super.putU32(kVappMagic);
+    super.putU32(version);
+    super.putU64(dir_offset);
+    super.putU64(dir.size());
+    super.putU32(crc32(dir.bytes()));
+    super.putU32(crc32(super.bytes()));
+    Bytes blob = out.take();
+    std::copy(super.bytes().begin(), super.bytes().end(), blob.begin());
+    return blob;
 }
 
 ArchiveError
@@ -387,89 +292,76 @@ parseArchive(const Bytes &blob, Archive &out)
 {
     if (blob.size() < kSuperblockSize)
         return ArchiveError::ShortRead;
-    ByteCursor in{blob.data(), kSuperblockSize};
-    if (in.u32v() != kVappMagic)
+    ByteReader super(blob.data(), kSuperblockSize);
+    if (super.getU32() != kVappMagic)
         return ArchiveError::BadMagic;
-    u32 version = in.u32v();
+    const u32 version = super.getU32();
     if (version < kVappMinFormatVersion ||
         version > kVappFormatVersion)
         return ArchiveError::BadVersion;
-    u64 dir_offset = in.u64v();
-    u64 dir_length = in.u64v();
-    u32 dir_crc = in.u32v();
-    u32 super_crc = in.u32v();
+    const u64 dir_offset = super.getU64();
+    const u64 dir_length = super.getU64();
+    const u32 dir_crc = super.getU32();
+    const u32 super_crc = super.getU32();
     if (crc32(blob.data(), kSuperblockSize - 4) != super_crc)
         return ArchiveError::CrcMismatch;
     if (dir_offset > blob.size() ||
         dir_length > blob.size() - dir_offset)
         return ArchiveError::ShortRead;
-    if (crc32(blob.data() + dir_offset,
-              static_cast<std::size_t>(dir_length)) != dir_crc)
+    const std::span<const u8> file(blob);
+    const std::span<const u8> dir_bytes =
+        file.subspan(dir_offset, dir_length);
+    if (crc32(dir_bytes.data(), dir_bytes.size()) != dir_crc)
         return ArchiveError::CrcMismatch;
 
     out.version = version;
     out.videos.clear();
     out.replicas.clear();
 
-    ByteCursor dir{blob.data() + dir_offset,
-                   static_cast<std::size_t>(dir_length)};
-    u32 count = dir.u32v();
-    for (u32 i = 0; i < count; ++i) {
-        u16 name_len = dir.u16v();
-        if (!dir.ok || name_len > dir.remaining())
-            return ArchiveError::ShortRead;
-        std::string name(
-            reinterpret_cast<const char *>(dir.data + dir.pos),
-            name_len);
-        dir.pos += name_len;
-        u64 offset = dir.u64v();
-        u64 length = dir.u64v();
-        u64 meta_length = dir.u64v();
-        u32 meta_crc = dir.u32v();
-        if (!dir.ok)
+    ByteReader dir(dir_bytes);
+    const std::size_t count =
+        dir.boundedCount(dir.getU32(), kDirEntryMinBytes);
+    if (!dir.ok())
+        return ArchiveError::ShortRead;
+    for (std::size_t i = 0; i < count; ++i) {
+        std::string name = dir.getString16();
+        const u64 offset = dir.getU64();
+        const u64 length = dir.getU64();
+        const u64 meta_length = dir.getU64();
+        const u32 meta_crc = dir.getU32();
+        if (!dir.ok())
             return ArchiveError::ShortRead;
         if (offset < kSuperblockSize || offset > blob.size() ||
             length > blob.size() - offset || meta_length > length ||
             out.videos.count(name))
             return ArchiveError::Malformed;
-        if (crc32(blob.data() + offset,
-                  static_cast<std::size_t>(meta_length)) != meta_crc)
+        const std::span<const u8> record = file.subspan(offset, length);
+        const std::span<const u8> meta = record.first(meta_length);
+        if (crc32(meta.data(), meta.size()) != meta_crc)
             return ArchiveError::CrcMismatch;
-        VideoRecord record;
+        VideoRecord parsed;
         ArchiveError err = parseRecord(
-            blob.data() + offset,
-            static_cast<std::size_t>(meta_length),
-            static_cast<std::size_t>(length), record);
+            meta, record.subspan(meta_length), length, parsed);
         if (err != ArchiveError::None)
             return err;
-        out.videos.emplace(std::move(name), std::move(record));
+        out.videos.emplace(std::move(name), std::move(parsed));
     }
     if (version >= 3) {
-        u32 replica_count = dir.u32v();
-        if (!dir.ok)
+        const std::size_t replicas =
+            dir.boundedCount(dir.getU32(), kReplicaMinBytes);
+        if (!dir.ok())
             return ArchiveError::ShortRead;
-        for (u32 i = 0; i < replica_count; ++i) {
-            u16 name_len = dir.u16v();
-            if (!dir.ok || name_len > dir.remaining())
-                return ArchiveError::ShortRead;
-            std::string name(
-                reinterpret_cast<const char *>(dir.data + dir.pos),
-                name_len);
-            dir.pos += name_len;
-            u32 blob_len = dir.u32v();
-            if (!dir.ok || blob_len > dir.remaining())
+        for (std::size_t i = 0; i < replicas; ++i) {
+            std::string name = dir.getString16();
+            Bytes held = dir.getBlob32();
+            if (!dir.ok())
                 return ArchiveError::ShortRead;
             if (out.replicas.count(name))
                 return ArchiveError::Malformed;
-            Bytes blob(dir.data + dir.pos,
-                       dir.data + dir.pos + blob_len);
-            dir.pos += blob_len;
-            out.replicas.emplace(std::move(name), std::move(blob));
+            out.replicas.emplace(std::move(name), std::move(held));
         }
     }
-    if (dir.pos != dir.size)
-        return ArchiveError::Malformed;
-    return ArchiveError::None;
+    return dir.exhausted() ? ArchiveError::None : ArchiveError::Malformed;
 }
 
 ArchiveError
@@ -489,6 +381,8 @@ ArchiveError
 writeArchive(const Archive &archive, const std::string &path)
 {
     Bytes blob = serializeArchive(archive);
+    if (blob.empty())
+        return ArchiveError::NameTooLong;
     std::string tmp = path + ".tmp";
     {
         std::ofstream f(tmp, std::ios::binary | std::ios::trunc);

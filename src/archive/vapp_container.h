@@ -9,7 +9,8 @@
  * modeled device — reopening it and decoding goes through the same
  * BCH/decrypt/merge pipeline as an in-memory round trip.
  *
- * Layout (all integers big-endian, matching codec/container.cc):
+ * Layout (all integers big-endian, written and read with the shared
+ * byte codec of common/bytes.h):
  *
  *   superblock (32 bytes, offset 0)
  *     u32 magic "VAPA"        u32 formatVersion
@@ -22,8 +23,9 @@
  *     cells — per-stream cell images, NOT checksummed: these are the
  *             approximate bits, and degrading them is the point
  *   directory (at directoryOffset)
- *     u32 videoCount, then per video: name, record offset/length,
- *     meta length, meta CRC
+ *     u32 videoCount, then per video: name (u16 length, so at most
+ *     kMaxArchiveNameBytes), record offset/length, meta length,
+ *     meta CRC
  *     (version 3) u32 replicaCount, then per replica: name and the
  *     held precise-meta blob inline — replica blobs a shard holds
  *     for its ring peers are small and CRC-covered by the directory
@@ -38,7 +40,7 @@
  *
  * Every reader path is total: bad magic, short reads, CRC
  * mismatches and malformed counts return ArchiveError values, never
- * crash (fuzzed in tests/archive_test.cc).
+ * crash (fuzzed by the format table in tests/format_test.cc).
  */
 
 #ifndef VIDEOAPP_ARCHIVE_VAPP_CONTAINER_H_
@@ -46,6 +48,7 @@
 
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "codec/container.h"
@@ -68,6 +71,10 @@ inline constexpr u32 kVappFormatVersion = 3;
 /** Oldest format version readers still accept. */
 inline constexpr u32 kVappMinFormatVersion = 1;
 
+/** Longest video or replica name the directory's u16 length prefix
+ * can carry; longer names are refused with NameTooLong. */
+inline constexpr std::size_t kMaxArchiveNameBytes = 0xFFFF;
+
 /** Why an archive operation failed. */
 enum class ArchiveError
 {
@@ -81,6 +88,7 @@ enum class ArchiveError
     NotFound,     // no such video in the archive
     KeyRequired,  // record is encrypted and no key was supplied
     KeyMismatch,  // supplied key fails the record's key check
+    NameTooLong,  // name beyond kMaxArchiveNameBytes
 };
 
 /** Stable name for logs and CLI messages. */
@@ -174,10 +182,20 @@ Bytes serializeRecordMeta(const VideoRecord &record);
  * length when parsing from a container, or a transport cap when
  * parsing a replication blob).
  */
-ArchiveError parseRecordMeta(const Bytes &meta, RecordMeta &out,
+ArchiveError parseRecordMeta(std::span<const u8> meta, RecordMeta &out,
                              u64 payload_bound);
 
-/** Serialize to the container byte layout documented above. */
+/**
+ * Parse one whole record: its precise @p meta (bounded as in
+ * parseRecordMeta) and @p cells, which must hold exactly the stream
+ * cell images the meta describes, back to back in stream order.
+ */
+ArchiveError parseRecord(std::span<const u8> meta,
+                         std::span<const u8> cells, u64 payload_bound,
+                         VideoRecord &record);
+
+/** Serialize to the container byte layout documented above; empty
+ * when a name exceeds kMaxArchiveNameBytes. */
 Bytes serializeArchive(const Archive &archive);
 
 /** Parse a container blob. @p out is valid only on None. */
@@ -189,7 +207,8 @@ ArchiveError readArchive(const std::string &path, Archive &out);
 /**
  * Serialize and write @p path atomically (temp file in the same
  * directory, then rename), so a crashed writer never leaves a
- * half-written archive behind.
+ * half-written archive behind. NameTooLong, and nothing written,
+ * when serializeArchive refuses the archive.
  */
 ArchiveError writeArchive(const Archive &archive,
                           const std::string &path);

@@ -1,117 +1,99 @@
 #include "codec/container.h"
 
+#include "common/bytes.h"
+
 namespace videoapp {
 
 namespace {
 
 constexpr u32 kMagic = 0x56415031; // "VAP1"
 
-void
-putU16(Bytes &out, u16 v)
-{
-    out.push_back(static_cast<u8>(v >> 8));
-    out.push_back(static_cast<u8>(v));
-}
+/** Smallest encodings: a frame header with no slices or pivots, one
+ * slice record, one pivot and one payload length. */
+constexpr std::size_t kFrameHeaderMinBytes = 15;
+constexpr std::size_t kSliceBytes = 16;
+constexpr std::size_t kPivotBytes = 9;
+constexpr std::size_t kPayloadLengthBytes = 8;
 
 void
-putU32(Bytes &out, u32 v)
+writeFrameHeader(ByteWriter &out, const FrameHeader &fh)
 {
-    putU16(out, static_cast<u16>(v >> 16));
-    putU16(out, static_cast<u16>(v));
-}
-
-void
-putU64(Bytes &out, u64 v)
-{
-    putU32(out, static_cast<u32>(v >> 32));
-    putU32(out, static_cast<u32>(v));
-}
-
-struct ByteCursor
-{
-    const Bytes *data;
-    std::size_t pos = 0;
-    bool ok = true;
-
-    u8
-    u8v()
-    {
-        if (pos >= data->size()) {
-            ok = false;
-            return 0;
-        }
-        return (*data)[pos++];
-    }
-
-    u16
-    u16v()
-    {
-        // Two statements: the evaluation order of a|b is unspecified.
-        u16 hi = u8v();
-        u16 lo = u8v();
-        return static_cast<u16>(hi << 8 | lo);
-    }
-
-    u32
-    u32v()
-    {
-        u32 hi = u16v();
-        return hi << 16 | u16v();
-    }
-
-    u64
-    u64v()
-    {
-        u64 hi = u32v();
-        return hi << 32 | u32v();
-    }
-};
-
-void
-serializeFrameHeader(Bytes &out, const FrameHeader &fh)
-{
-    putU16(out, fh.displayIdx);
-    out.push_back(static_cast<u8>(fh.type));
-    out.push_back(fh.qpBase);
-    putU32(out, static_cast<u32>(fh.ref0));
-    putU32(out, static_cast<u32>(fh.ref1));
-    out.push_back(static_cast<u8>(fh.slices.size()));
+    out.putU16(fh.displayIdx);
+    out.putU8(static_cast<u8>(fh.type));
+    out.putU8(fh.qpBase);
+    out.putU32(static_cast<u32>(fh.ref0));
+    out.putU32(static_cast<u32>(fh.ref1));
+    out.putU8(static_cast<u8>(fh.slices.size()));
     for (const auto &s : fh.slices) {
-        putU32(out, s.firstMb);
-        putU32(out, s.mbCount);
-        putU32(out, s.byteOffset);
-        putU32(out, s.byteLength);
+        out.putU32(s.firstMb);
+        out.putU32(s.mbCount);
+        out.putU32(s.byteOffset);
+        out.putU32(s.byteLength);
     }
-    putU16(out, static_cast<u16>(fh.pivots.size()));
+    out.putU16(static_cast<u16>(fh.pivots.size()));
     for (const auto &p : fh.pivots) {
-        putU64(out, p.bitOffset);
-        out.push_back(p.schemeT);
+        out.putU64(p.bitOffset);
+        out.putU8(p.schemeT);
     }
 }
 
-bool
-deserializeFrameHeader(ByteCursor &in, FrameHeader &fh)
+void
+readFrameHeader(ByteReader &in, FrameHeader &fh)
 {
-    fh.displayIdx = in.u16v();
-    fh.type = static_cast<FrameType>(in.u8v());
-    fh.qpBase = in.u8v();
-    fh.ref0 = static_cast<i32>(in.u32v());
-    fh.ref1 = static_cast<i32>(in.u32v());
-    u8 slices = in.u8v();
-    fh.slices.resize(slices);
+    fh.displayIdx = in.getU16();
+    fh.type = static_cast<FrameType>(in.getU8());
+    fh.qpBase = in.getU8();
+    fh.ref0 = static_cast<i32>(in.getU32());
+    fh.ref1 = static_cast<i32>(in.getU32());
+    fh.slices.resize(in.boundedCount(in.getU8(), kSliceBytes));
     for (auto &s : fh.slices) {
-        s.firstMb = in.u32v();
-        s.mbCount = in.u32v();
-        s.byteOffset = in.u32v();
-        s.byteLength = in.u32v();
+        s.firstMb = in.getU32();
+        s.mbCount = in.getU32();
+        s.byteOffset = in.getU32();
+        s.byteLength = in.getU32();
     }
-    u16 pivots = in.u16v();
-    fh.pivots.resize(pivots);
+    fh.pivots.resize(in.boundedCount(in.getU16(), kPivotBytes));
     for (auto &p : fh.pivots) {
-        p.bitOffset = in.u64v();
-        p.schemeT = in.u8v();
+        p.bitOffset = in.getU64();
+        p.schemeT = in.getU8();
     }
-    return in.ok;
+}
+
+void
+writeHeaders(ByteWriter &out, const EncodedVideo &video)
+{
+    out.putU32(kMagic);
+    out.putU16(video.header.width);
+    out.putU16(video.header.height);
+    // fps as fixed-point 16.16.
+    out.putU32(static_cast<u32>(video.header.fps * 65536.0));
+    out.putU8(static_cast<u8>(video.header.entropy));
+    out.putU16(video.header.frameCount);
+    out.putU8(video.header.slicesPerFrame);
+    out.putU8(video.header.flags);
+    out.putU16(static_cast<u16>(video.frameHeaders.size()));
+    for (const auto &fh : video.frameHeaders)
+        writeFrameHeader(out, fh);
+}
+
+/** Parse the serializeHeaders() section at @p in. */
+bool
+readHeaders(ByteReader &in, EncodedVideo &video)
+{
+    if (in.getU32() != kMagic)
+        return false;
+    video.header.width = in.getU16();
+    video.header.height = in.getU16();
+    video.header.fps = in.getU32() / 65536.0;
+    video.header.entropy = static_cast<EntropyKind>(in.getU8());
+    video.header.frameCount = in.getU16();
+    video.header.slicesPerFrame = in.getU8();
+    video.header.flags = in.getU8();
+    video.frameHeaders.resize(
+        in.boundedCount(in.getU16(), kFrameHeaderMinBytes));
+    for (auto &fh : video.frameHeaders)
+        readFrameHeader(in, fh);
+    return in.ok();
 }
 
 } // namespace
@@ -134,93 +116,48 @@ EncodedVideo::headerBits() const
 Bytes
 serializeHeaders(const EncodedVideo &video)
 {
-    Bytes out;
-    putU32(out, kMagic);
-    putU16(out, video.header.width);
-    putU16(out, video.header.height);
-    // fps as fixed-point 16.16.
-    putU32(out, static_cast<u32>(video.header.fps * 65536.0));
-    out.push_back(static_cast<u8>(video.header.entropy));
-    putU16(out, video.header.frameCount);
-    out.push_back(video.header.slicesPerFrame);
-    out.push_back(video.header.flags);
-    putU16(out, static_cast<u16>(video.frameHeaders.size()));
-    for (const auto &fh : video.frameHeaders)
-        serializeFrameHeader(out, fh);
-    return out;
+    ByteWriter out;
+    writeHeaders(out, video);
+    return out.take();
 }
 
 Bytes
 serialize(const EncodedVideo &video)
 {
-    Bytes out = serializeHeaders(video);
-    putU16(out, static_cast<u16>(video.payloads.size()));
+    ByteWriter out;
+    writeHeaders(out, video);
+    out.putU16(static_cast<u16>(video.payloads.size()));
     for (const auto &p : video.payloads) {
-        putU64(out, p.size());
-        out.insert(out.end(), p.begin(), p.end());
+        out.putU64(p.size());
+        out.putRaw(p);
     }
-    return out;
+    return out.take();
 }
-
-namespace {
-
-/** Parse the serializeHeaders() section at the cursor. */
-bool
-parseHeaders(ByteCursor &in, EncodedVideo &video)
-{
-    if (in.u32v() != kMagic || !in.ok)
-        return false;
-    video.header.width = in.u16v();
-    video.header.height = in.u16v();
-    video.header.fps = in.u32v() / 65536.0;
-    video.header.entropy = static_cast<EntropyKind>(in.u8v());
-    video.header.frameCount = in.u16v();
-    video.header.slicesPerFrame = in.u8v();
-    video.header.flags = in.u8v();
-
-    u16 frames = in.u16v();
-    video.frameHeaders.resize(frames);
-    for (auto &fh : video.frameHeaders) {
-        if (!deserializeFrameHeader(in, fh))
-            return false;
-    }
-    return in.ok;
-}
-
-} // namespace
 
 std::optional<EncodedVideo>
-deserializeHeaders(const Bytes &blob)
+deserializeHeaders(std::span<const u8> blob)
 {
-    ByteCursor in{&blob};
+    ByteReader in(blob);
     EncodedVideo video;
-    if (!parseHeaders(in, video))
+    if (!readHeaders(in, video))
         return std::nullopt;
     return video;
 }
 
 std::optional<EncodedVideo>
-deserialize(const Bytes &blob)
+deserialize(std::span<const u8> blob)
 {
-    ByteCursor in{&blob};
+    ByteReader in(blob);
     EncodedVideo video;
-    if (!parseHeaders(in, video))
+    if (!readHeaders(in, video))
         return std::nullopt;
-
-    u16 payloads = in.u16v();
-    video.payloads.resize(payloads);
+    video.payloads.resize(
+        in.boundedCount(in.getU16(), kPayloadLengthBytes));
     for (auto &p : video.payloads) {
-        u64 size = in.u64v();
-        // Compare against the remaining bytes: `pos + size` could
-        // wrap for adversarial 64-bit sizes.
-        if (!in.ok || size > blob.size() - in.pos)
-            return std::nullopt;
-        p.assign(blob.begin() + static_cast<std::ptrdiff_t>(in.pos),
-                 blob.begin() +
-                     static_cast<std::ptrdiff_t>(in.pos + size));
-        in.pos += size;
+        std::span<const u8> bytes = in.getRaw(in.getU64());
+        p.assign(bytes.begin(), bytes.end());
     }
-    if (!in.ok)
+    if (!in.ok())
         return std::nullopt;
     return video;
 }

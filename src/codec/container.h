@@ -14,6 +14,7 @@
 #define VIDEOAPP_CODEC_CONTAINER_H_
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "codec/gop.h"
@@ -96,7 +97,7 @@ struct EncodedVideo
 Bytes serialize(const EncodedVideo &video);
 
 /** Parse a blob produced by serialize(); nullopt on malformed data. */
-std::optional<EncodedVideo> deserialize(const Bytes &blob);
+std::optional<EncodedVideo> deserialize(std::span<const u8> blob);
 
 /** Serialise only the precise parts (for header-size accounting). */
 Bytes serializeHeaders(const EncodedVideo &video);
@@ -106,7 +107,7 @@ Bytes serializeHeaders(const EncodedVideo &video);
  * with empty payloads. Used by archives, which persist headers and
  * payload placement separately from the approximate payload bits.
  */
-std::optional<EncodedVideo> deserializeHeaders(const Bytes &blob);
+std::optional<EncodedVideo> deserializeHeaders(std::span<const u8> blob);
 
 } // namespace videoapp
 

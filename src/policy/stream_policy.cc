@@ -8,53 +8,8 @@ namespace {
  * blocks supports t <= 58). */
 constexpr int kMaxSchemeT = 58;
 
-void
-appendBe16(Bytes &out, u16 v)
-{
-    out.push_back(static_cast<u8>(v >> 8));
-    out.push_back(static_cast<u8>(v));
-}
-
-void
-appendBe32(Bytes &out, u32 v)
-{
-    out.push_back(static_cast<u8>(v >> 24));
-    out.push_back(static_cast<u8>(v >> 16));
-    out.push_back(static_cast<u8>(v >> 8));
-    out.push_back(static_cast<u8>(v));
-}
-
-bool
-readU8(const u8 *data, std::size_t size, std::size_t &pos, u8 &v)
-{
-    if (size - pos < 1)
-        return false;
-    v = data[pos++];
-    return true;
-}
-
-bool
-readBe16(const u8 *data, std::size_t size, std::size_t &pos, u16 &v)
-{
-    if (size - pos < 2)
-        return false;
-    v = static_cast<u16>(static_cast<u16>(data[pos]) << 8 |
-                         data[pos + 1]);
-    pos += 2;
-    return true;
-}
-
-bool
-readBe32(const u8 *data, std::size_t size, std::size_t &pos, u32 &v)
-{
-    if (size - pos < 4)
-        return false;
-    v = static_cast<u32>(data[pos]) << 24 |
-        static_cast<u32>(data[pos + 1]) << 16 |
-        static_cast<u32>(data[pos + 2]) << 8 | data[pos + 3];
-    pos += 4;
-    return true;
-}
+/** One entry: schemeT, cipher, degradeClass. */
+constexpr std::size_t kEntryBytes = 3;
 
 } // namespace
 
@@ -141,55 +96,45 @@ buildStreamPolicy(const std::vector<int> &scheme_ts,
 }
 
 void
-appendStreamPolicy(Bytes &out, const StreamPolicy &policy)
+appendStreamPolicy(ByteWriter &out, const StreamPolicy &policy)
 {
-    appendBe16(out, policy.version);
-    appendBe32(out, policy.keyId);
-    out.push_back(policy.encryptMinT);
-    appendBe16(out, static_cast<u16>(policy.entries.size()));
+    out.putU16(policy.version);
+    out.putU32(policy.keyId);
+    out.putU8(policy.encryptMinT);
+    out.putU16(static_cast<u16>(policy.entries.size()));
     for (const StreamPolicyEntry &e : policy.entries) {
-        out.push_back(static_cast<u8>(e.schemeT));
-        out.push_back(static_cast<u8>(e.cipher));
-        out.push_back(e.degradeClass);
+        out.putU8(static_cast<u8>(e.schemeT));
+        out.putU8(static_cast<u8>(e.cipher));
+        out.putU8(e.degradeClass);
     }
 }
 
 bool
-parseStreamPolicy(const u8 *data, std::size_t size, std::size_t &pos,
-                  StreamPolicy &out)
+parseStreamPolicy(ByteReader &in, StreamPolicy &out)
 {
-    std::size_t p = pos;
+    // A copy of the reader, committed back only on success.
+    ByteReader r = in;
     StreamPolicy policy;
-    u8 min_t = 0;
-    u16 count = 0;
-    if (!readBe16(data, size, p, policy.version) ||
-        !readBe32(data, size, p, policy.keyId) ||
-        !readU8(data, size, p, min_t) ||
-        !readBe16(data, size, p, count))
-        return false;
-    if (policy.version == 0 ||
+    policy.version = r.getU16();
+    policy.keyId = r.getU32();
+    policy.encryptMinT = r.getU8();
+    policy.entries.resize(r.boundedCount(r.getU16(), kEntryBytes));
+    if (!r.ok() || policy.version == 0 ||
         policy.version > kStreamPolicyVersion)
         return false;
-    policy.encryptMinT = min_t;
-    policy.entries.reserve(count);
     int prev_t = -1;
-    for (u16 i = 0; i < count; ++i) {
-        u8 scheme_t = 0, cipher = 0, degrade = 0;
-        if (!readU8(data, size, p, scheme_t) ||
-            !readU8(data, size, p, cipher) ||
-            !readU8(data, size, p, degrade))
-            return false;
+    for (StreamPolicyEntry &entry : policy.entries) {
+        const u8 scheme_t = r.getU8();
+        const u8 cipher = r.getU8();
+        entry.degradeClass = r.getU8();
         if (scheme_t <= prev_t || scheme_t > kMaxSchemeT ||
             cipher > static_cast<u8>(StreamCipher::AesLegacy))
             return false;
         prev_t = scheme_t;
-        StreamPolicyEntry entry;
         entry.schemeT = scheme_t;
         entry.cipher = static_cast<StreamCipher>(cipher);
-        entry.degradeClass = degrade;
-        policy.entries.push_back(entry);
     }
-    pos = p;
+    in = r;
     out = std::move(policy);
     return true;
 }

@@ -31,6 +31,7 @@
 
 #include <vector>
 
+#include "common/bytes.h"
 #include "crypto/modes.h"
 
 namespace videoapp {
@@ -124,21 +125,21 @@ StreamPolicy buildStreamPolicy(const std::vector<int> &scheme_ts,
                                u8 encrypt_min_t);
 
 /**
- * Canonical serialization (big-endian, appended to @p out):
+ * Canonical serialization, appended to @p out with the shared byte
+ * codec (common/bytes.h):
  *   u16 version   u32 keyId   u8 encryptMinT
  *   u16 entryCount, then per entry: u8 schemeT, u8 cipher,
  *   u8 degradeClass.
  */
-void appendStreamPolicy(Bytes &out, const StreamPolicy &policy);
+void appendStreamPolicy(ByteWriter &out, const StreamPolicy &policy);
 
 /**
- * Parse a policy blob at @p pos of @p data, advancing @p pos. Total:
- * returns false (without committing @p pos) on truncation, a version
- * newer than kStreamPolicyVersion, an out-of-range cipher, or
- * entries that are not strictly ascending in schemeT <= 58.
+ * Parse a policy record at @p in, advancing it. Total: returns false,
+ * leaving @p in untouched, on truncation, a version newer than
+ * kStreamPolicyVersion, an out-of-range cipher, or entries that are
+ * not strictly ascending in schemeT <= 58.
  */
-bool parseStreamPolicy(const u8 *data, std::size_t size,
-                       std::size_t &pos, StreamPolicy &out);
+bool parseStreamPolicy(ByteReader &in, StreamPolicy &out);
 
 } // namespace videoapp
 

@@ -10,22 +10,11 @@
 #include <chrono>
 #include <thread>
 
+#include "common/bytes.h"
 #include "common/rng.h"
 #include "common/telemetry.h"
 
 namespace videoapp {
-
-namespace {
-
-u32
-be32At(const u8 *p)
-{
-    return static_cast<u32>(p[0]) << 24 |
-           static_cast<u32>(p[1]) << 16 |
-           static_cast<u32>(p[2]) << 8 | static_cast<u32>(p[3]);
-}
-
-} // namespace
 
 VappClient::~VappClient()
 {
@@ -185,7 +174,8 @@ VappClient::receive()
                  response.payload.size()) ||
         !recvAll(crc_buf, sizeof crc_buf))
         return std::nullopt;
-    err = verifyPayload(response.payload, be32At(crc_buf));
+    err = verifyPayload(response.payload,
+                        ByteReader(crc_buf, sizeof crc_buf).getU32());
     if (err != WireError::None) {
         lastError_ = err;
         return std::nullopt;

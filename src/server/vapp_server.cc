@@ -17,6 +17,7 @@
 #include <functional>
 #include <mutex>
 
+#include "common/bytes.h"
 #include "common/crc32.h"
 #include "common/telemetry.h"
 
@@ -770,7 +771,9 @@ VappServer::respondCached(const std::shared_ptr<Connection> &conn,
     frame.head = encodeFrameHeader(
         static_cast<u8>(gop->status), request_id,
         static_cast<u32>(gop->payload.size()));
-    frame.tail = encodeBe32(gop->payloadCrc);
+    ByteWriter tail(4);
+    tail.putU32(gop->payloadCrc);
+    frame.tail = tail.take();
     frame.pin = std::move(gop);
     enqueueResponse(conn, std::move(frame));
 }
@@ -1322,9 +1325,14 @@ VappServer::handlePut(const ServerJob &job)
         options.encryption = enc;
     }
     PutResponse response;
-    if (service_.put(request.name, prepared, options,
-                     &response.cellBytes) != ArchiveError::None) {
-        respondStatus(job.conn, Status::Error, job.requestId);
+    const ArchiveError err = service_.put(request.name, prepared, options,
+                                          &response.cellBytes);
+    if (err != ArchiveError::None) {
+        // A name the archive cannot store is the client's fault.
+        respondStatus(job.conn,
+                      err == ArchiveError::NameTooLong ? Status::BadRequest
+                                                       : Status::Error,
+                      job.requestId);
         return;
     }
     if (config_.cluster != nullptr && request.ringEpoch != 0 &&

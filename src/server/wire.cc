@@ -1,9 +1,8 @@
 #include "server/wire.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
 
+#include "common/bytes.h"
 #include "common/crc32.h"
 
 namespace videoapp {
@@ -61,73 +60,30 @@ wireErrorName(WireError error)
     return "unknown wire error";
 }
 
-namespace {
-
-void
-putBe16(Bytes &out, u16 v)
-{
-    out.push_back(static_cast<u8>(v >> 8));
-    out.push_back(static_cast<u8>(v));
-}
-
-void
-putBe32(Bytes &out, u32 v)
-{
-    out.push_back(static_cast<u8>(v >> 24));
-    out.push_back(static_cast<u8>(v >> 16));
-    out.push_back(static_cast<u8>(v >> 8));
-    out.push_back(static_cast<u8>(v));
-}
-
-u16
-getBe16(const u8 *p)
-{
-    return static_cast<u16>(static_cast<u16>(p[0]) << 8 | p[1]);
-}
-
-u32
-getBe32(const u8 *p)
-{
-    return static_cast<u32>(p[0]) << 24 |
-           static_cast<u32>(p[1]) << 16 |
-           static_cast<u32>(p[2]) << 8 | static_cast<u32>(p[3]);
-}
-
-} // namespace
-
 Bytes
 encodeFrameHeader(u8 kind, u32 requestId, u32 payloadLength,
                   u8 flags)
 {
-    Bytes out;
-    out.reserve(kWireHeaderBytes);
-    putBe32(out, kWireMagic);
-    putBe16(out, kWireVersion);
-    out.push_back(kind);
-    out.push_back(flags);
-    putBe32(out, requestId);
-    putBe32(out, payloadLength);
-    putBe32(out, crc32(out.data(), 16));
-    return out;
-}
-
-Bytes
-encodeBe32(u32 v)
-{
-    Bytes out;
-    putBe32(out, v);
-    return out;
+    ByteWriter out(kWireHeaderBytes);
+    out.putU32(kWireMagic);
+    out.putU16(kWireVersion);
+    out.putU8(kind);
+    out.putU8(flags);
+    out.putU32(requestId);
+    out.putU32(payloadLength);
+    out.putU32(crc32(out.bytes()));
+    return out.take();
 }
 
 Bytes
 encodeFrame(u8 kind, u32 requestId, const Bytes &payload, u8 flags)
 {
-    Bytes out = encodeFrameHeader(
-        kind, requestId, static_cast<u32>(payload.size()), flags);
-    out.reserve(kWireHeaderBytes + payload.size() + 4);
-    out.insert(out.end(), payload.begin(), payload.end());
-    putBe32(out, crc32(payload));
-    return out;
+    ByteWriter out(kWireHeaderBytes + payload.size() + 4);
+    out.putRaw(encodeFrameHeader(
+        kind, requestId, static_cast<u32>(payload.size()), flags));
+    out.putRaw(payload);
+    out.putU32(crc32(payload));
+    return out.take();
 }
 
 WireError
@@ -136,16 +92,19 @@ parseFrameHeader(const u8 *data, std::size_t size,
 {
     if (size < kWireHeaderBytes)
         return WireError::ShortRead;
-    if (getBe32(data) != kWireMagic)
+    ByteReader in(data, kWireHeaderBytes);
+    if (in.getU32() != kWireMagic)
         return WireError::BadMagic;
-    if (getBe16(data + 4) > kWireVersion)
+    if (in.getU16() > kWireVersion)
         return WireError::BadVersion;
-    if (getBe32(data + 16) != crc32(data, 16))
+    WireFrameHeader header;
+    header.kind = in.getU8();
+    header.flags = in.getU8();
+    header.requestId = in.getU32();
+    header.payloadLength = in.getU32();
+    if (in.getU32() != crc32(data, 16))
         return WireError::BadCrc;
-    out.kind = data[6];
-    out.flags = data[7];
-    out.requestId = getBe32(data + 8);
-    out.payloadLength = getBe32(data + 12);
+    out = header;
     if (out.payloadLength > kWireMaxPayload)
         return WireError::Oversized;
     return WireError::None;
@@ -194,7 +153,7 @@ FrameDeframer::next(Decoded &out)
         return Result::NeedMore;
     const u8 *body = buffer_.data() + pos_ + kWireHeaderBytes;
     out.payload.assign(body, body + out.header.payloadLength);
-    u32 crc = getBe32(body + out.header.payloadLength);
+    u32 crc = ByteReader(body + out.header.payloadLength, 4).getU32();
     pos_ += total; // consumed either way: framing held
     if (verifyPayload(out.payload, crc) != WireError::None) {
         // Recoverable: out.header.requestId is valid for the
@@ -206,210 +165,85 @@ FrameDeframer::next(Decoded &out)
     return Result::Frame;
 }
 
-// --- payload primitives ------------------------------------------------
-
-void
-WireWriter::putU16(u16 v)
-{
-    putBe16(out_, v);
-}
-
-void
-WireWriter::putU32(u32 v)
-{
-    putBe32(out_, v);
-}
-
-void
-WireWriter::putU64(u64 v)
-{
-    putBe32(out_, static_cast<u32>(v >> 32));
-    putBe32(out_, static_cast<u32>(v));
-}
-
-void
-WireWriter::putDouble(double v)
-{
-    putU64(std::bit_cast<u64>(v));
-}
-
-void
-WireWriter::putBytes(const Bytes &bytes)
-{
-    putU32(static_cast<u32>(bytes.size()));
-    putRaw(bytes.data(), bytes.size());
-}
-
-void
-WireWriter::putRaw(const u8 *data, std::size_t size)
-{
-    out_.insert(out_.end(), data, data + size);
-}
-
-void
-WireWriter::putString(const std::string &s)
-{
-    putU32(static_cast<u32>(s.size()));
-    out_.insert(out_.end(), s.begin(), s.end());
-}
-
-bool
-WireReader::getU8(u8 &v)
-{
-    if (data_.size() - pos_ < 1)
-        return false;
-    v = data_[pos_++];
-    return true;
-}
-
-bool
-WireReader::getU16(u16 &v)
-{
-    if (data_.size() - pos_ < 2)
-        return false;
-    v = getBe16(data_.data() + pos_);
-    pos_ += 2;
-    return true;
-}
-
-bool
-WireReader::getU32(u32 &v)
-{
-    if (data_.size() - pos_ < 4)
-        return false;
-    v = getBe32(data_.data() + pos_);
-    pos_ += 4;
-    return true;
-}
-
-bool
-WireReader::getU64(u64 &v)
-{
-    u32 hi = 0;
-    u32 lo = 0;
-    if (!getU32(hi) || !getU32(lo))
-        return false;
-    v = static_cast<u64>(hi) << 32 | lo;
-    return true;
-}
-
-bool
-WireReader::getDouble(double &v)
-{
-    u64 bits = 0;
-    if (!getU64(bits))
-        return false;
-    v = std::bit_cast<double>(bits);
-    return true;
-}
-
-bool
-WireReader::getBytes(Bytes &bytes)
-{
-    u32 n = 0;
-    if (!getU32(n) || data_.size() - pos_ < n)
-        return false;
-    bytes.assign(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                 data_.begin() +
-                     static_cast<std::ptrdiff_t>(pos_ + n));
-    pos_ += n;
-    return true;
-}
-
-bool
-WireReader::getString(std::string &s)
-{
-    u32 n = 0;
-    if (!getU32(n) || data_.size() - pos_ < n)
-        return false;
-    s.assign(reinterpret_cast<const char *>(data_.data()) + pos_, n);
-    pos_ += n;
-    return true;
-}
-
 // --- requests ----------------------------------------------------------
 
 Bytes
 serializeGetFramesRequest(const GetFramesRequest &request)
 {
-    WireWriter w;
-    w.putString(request.name);
-    w.putU32(request.gop);
-    w.putDouble(request.injectRawBer);
-    w.putU64(request.seed);
-    w.putU8(request.conceal ? 1 : 0);
-    w.putBytes(request.key);
-    w.putU32(request.deadlineMs);
+    ByteWriter out;
+    out.putString32(request.name);
+    out.putU32(request.gop);
+    out.putF64(request.injectRawBer);
+    out.putU64(request.seed);
+    out.putU8(request.conceal ? 1 : 0);
+    out.putBlob32(request.key);
+    out.putU32(request.deadlineMs);
     // Epoch/replica tail only when set: default-valued requests stay
     // byte-identical to the pre-resize wire shape, so old captures
     // and mixed-version peers keep parsing.
     if (request.ringEpoch != 0 || request.allowReplica) {
-        w.putU64(request.ringEpoch);
-        w.putU8(request.allowReplica ? 1 : 0);
+        out.putU64(request.ringEpoch);
+        out.putU8(request.allowReplica ? 1 : 0);
     }
-    return w.take();
+    return out.take();
 }
 
 bool
 parseGetFramesRequest(const Bytes &payload, GetFramesRequest &out)
 {
-    WireReader r(payload);
-    u8 conceal = 0;
-    if (!r.getString(out.name) || !r.getU32(out.gop) ||
-        !r.getDouble(out.injectRawBer) || !r.getU64(out.seed) ||
-        !r.getU8(conceal) || !r.getBytes(out.key) ||
-        !r.getU32(out.deadlineMs))
-        return false;
-    out.conceal = conceal != 0;
-    out.ringEpoch = 0;
-    out.allowReplica = false;
-    if (!r.exhausted()) {
-        u8 allow_replica = 0;
-        if (!r.getU64(out.ringEpoch) || !r.getU8(allow_replica) ||
-            !r.exhausted())
-            return false;
-        out.allowReplica = allow_replica != 0;
-    }
+    ByteReader in(payload);
+    out.name = in.getString32();
+    out.gop = in.getU32();
+    out.injectRawBer = in.getF64();
+    out.seed = in.getU64();
+    out.conceal = in.getU8() != 0;
+    out.key = in.getBlob32();
+    out.deadlineMs = in.getU32();
+    const bool tail = in.remaining() > 0;
+    out.ringEpoch = tail ? in.getU64() : 0;
+    out.allowReplica = tail && in.getU8() != 0;
     // NaN / negative rates would poison the injection path.
-    return out.injectRawBer >= 0.0 && out.injectRawBer <= 1.0;
+    return in.exhausted() && out.injectRawBer >= 0.0 &&
+           out.injectRawBer <= 1.0;
 }
 
 Bytes
 serializePutRequest(const PutRequest &request)
 {
-    WireWriter w;
-    w.putString(request.name);
-    w.putU16(request.width);
-    w.putU16(request.height);
-    w.putU32(request.frameCount);
-    w.putBytes(request.i420);
-    w.putBytes(request.key);
-    w.putU8(request.cipherMode);
-    w.putU32(request.keyId);
-    w.putU64(request.ivSeed);
-    w.putU8(request.encryptMinT);
+    ByteWriter out;
+    out.putString32(request.name);
+    out.putU16(request.width);
+    out.putU16(request.height);
+    out.putU32(request.frameCount);
+    out.putBlob32(request.i420);
+    out.putBlob32(request.key);
+    out.putU8(request.cipherMode);
+    out.putU32(request.keyId);
+    out.putU64(request.ivSeed);
+    out.putU8(request.encryptMinT);
     if (request.ringEpoch != 0)
-        w.putU64(request.ringEpoch);
-    return w.take();
+        out.putU64(request.ringEpoch);
+    return out.take();
 }
 
 bool
 parsePutRequest(const Bytes &payload, PutRequest &out)
 {
-    WireReader r(payload);
-    if (!r.getString(out.name) || !r.getU16(out.width) ||
-        !r.getU16(out.height) || !r.getU32(out.frameCount) ||
-        !r.getBytes(out.i420) || !r.getBytes(out.key) ||
-        !r.getU8(out.cipherMode) || !r.getU32(out.keyId) ||
-        !r.getU64(out.ivSeed) || !r.getU8(out.encryptMinT))
-        return false;
-    out.ringEpoch = 0;
-    if (!r.exhausted() &&
-        (!r.getU64(out.ringEpoch) || !r.exhausted()))
-        return false;
-    if (out.name.empty() || out.width == 0 || out.height == 0 ||
-        out.width % 16 != 0 || out.height % 16 != 0 ||
-        out.frameCount == 0)
+    ByteReader in(payload);
+    out.name = in.getString32();
+    out.width = in.getU16();
+    out.height = in.getU16();
+    out.frameCount = in.getU32();
+    out.i420 = in.getBlob32();
+    out.key = in.getBlob32();
+    out.cipherMode = in.getU8();
+    out.keyId = in.getU32();
+    out.ivSeed = in.getU64();
+    out.encryptMinT = in.getU8();
+    out.ringEpoch = in.remaining() > 0 ? in.getU64() : 0;
+    if (!in.exhausted() || out.name.empty() || out.width == 0 ||
+        out.height == 0 || out.width % 16 != 0 ||
+        out.height % 16 != 0 || out.frameCount == 0)
         return false;
     u64 frame_bytes = static_cast<u64>(out.width) * out.height * 3 / 2;
     return out.i420.size() == frame_bytes * out.frameCount;
@@ -418,20 +252,20 @@ parsePutRequest(const Bytes &payload, PutRequest &out)
 Bytes
 serializeScrubRequest(const ScrubRequest &request)
 {
-    WireWriter w;
-    w.putDouble(request.ageRawBer);
-    w.putU64(request.seed);
-    return w.take();
+    ByteWriter out;
+    out.putF64(request.ageRawBer);
+    out.putU64(request.seed);
+    return out.take();
 }
 
 bool
 parseScrubRequest(const Bytes &payload, ScrubRequest &out)
 {
-    WireReader r(payload);
-    if (!r.getDouble(out.ageRawBer) || !r.getU64(out.seed) ||
-        !r.exhausted())
-        return false;
-    return out.ageRawBer >= 0.0 && out.ageRawBer <= 1.0;
+    ByteReader in(payload);
+    out.ageRawBer = in.getF64();
+    out.seed = in.getU64();
+    return in.exhausted() && out.ageRawBer >= 0.0 &&
+           out.ageRawBer <= 1.0;
 }
 
 // --- responses ---------------------------------------------------------
@@ -441,6 +275,23 @@ namespace {
 /** GET_FRAMES payload bytes before the frames, their u32 length
  * prefix included. */
 constexpr std::size_t kGetFramesFieldBytes = 58;
+
+/** Smallest encodings of one StatResponse row and one ring shard
+ * (empty name / host). */
+constexpr std::size_t kStatRowMinBytes = 33;
+constexpr std::size_t kShardMinBytes = 10;
+
+/** Read the leading status byte into @p status; false when it is
+ * missing or outside the known range. */
+bool
+getStatus(ByteReader &in, Status &status)
+{
+    const u8 byte = in.getU8();
+    if (!in.ok() || byte > static_cast<u8>(Status::WrongEpoch))
+        return false;
+    status = static_cast<Status>(byte);
+    return true;
+}
 
 /** Bytes of frames [first, first + count) of @p video as planar
  * I420 (clamped to the video's end). */
@@ -459,14 +310,14 @@ framesI420Bytes(const Video &video, std::size_t first,
 }
 
 void
-appendFramesI420(WireWriter &w, const Video &video, std::size_t first,
+appendFramesI420(ByteWriter &out, const Video &video, std::size_t first,
                  std::size_t count)
 {
     const std::size_t end = std::min(first + count, video.frames.size());
     for (std::size_t i = first; i < end; ++i) {
         const Frame &f = video.frames[i];
         for (const Plane *plane : {&f.y(), &f.u(), &f.v()})
-            w.putRaw(plane->data().data(), plane->data().size());
+            out.putRaw(plane->data());
     }
 }
 
@@ -478,23 +329,22 @@ Bytes
 serializeGetFrames(const GetFramesResponse &response,
                    std::size_t i420_bytes, AppendFrames append_frames)
 {
-    WireWriter w;
-    w.reserve(kGetFramesFieldBytes + i420_bytes);
-    w.putU8(static_cast<u8>(response.status));
-    w.putU16(response.width);
-    w.putU16(response.height);
-    w.putU32(response.firstFrame);
-    w.putU32(response.frameCount);
-    w.putU32(response.gopCount);
-    w.putU8(response.fromCache ? 1 : 0);
-    w.putU64(response.blocksCorrected);
-    w.putU64(response.blocksUncorrectable);
-    w.putU32(response.streamsShed);
-    w.putU64(response.bytesShed);
-    w.putDouble(response.shedDbEst);
-    w.putU32(static_cast<u32>(i420_bytes));
-    append_frames(w);
-    return w.take();
+    ByteWriter out(kGetFramesFieldBytes + i420_bytes);
+    out.putU8(static_cast<u8>(response.status));
+    out.putU16(response.width);
+    out.putU16(response.height);
+    out.putU32(response.firstFrame);
+    out.putU32(response.frameCount);
+    out.putU32(response.gopCount);
+    out.putU8(response.fromCache ? 1 : 0);
+    out.putU64(response.blocksCorrected);
+    out.putU64(response.blocksUncorrectable);
+    out.putU32(response.streamsShed);
+    out.putU64(response.bytesShed);
+    out.putF64(response.shedDbEst);
+    out.putU32(static_cast<u32>(i420_bytes));
+    append_frames(out);
+    return out.take();
 }
 
 } // namespace
@@ -510,8 +360,8 @@ serializeGetFramesResponse(const GetFramesResponse &response,
                            const Bytes &i420)
 {
     return serializeGetFrames(response, i420.size(),
-                              [&i420](WireWriter &w) {
-                                  w.putRaw(i420.data(), i420.size());
+                              [&i420](ByteWriter &out) {
+                                  out.putRaw(i420);
                               });
 }
 
@@ -523,8 +373,8 @@ serializeGetFramesResponse(const GetFramesResponse &response,
         response,
         framesI420Bytes(video, response.firstFrame,
                         response.frameCount),
-        [&](WireWriter &w) {
-            appendFramesI420(w, video, response.firstFrame,
+        [&](ByteWriter &out) {
+            appendFramesI420(out, video, response.firstFrame,
                              response.frameCount);
         });
 }
@@ -538,26 +388,26 @@ parseGetFramesResponse(const Bytes &payload, GetFramesResponse &out)
 bool
 parseGetFramesResponse(Bytes &&payload, GetFramesResponse &out)
 {
-    WireReader r(payload);
-    u8 status = 0;
-    if (!r.getU8(status) || status > static_cast<u8>(Status::WrongEpoch))
+    ByteReader in(payload);
+    if (!getStatus(in, out.status))
         return false;
-    out.status = static_cast<Status>(status);
     if (out.status != Status::Ok && out.status != Status::Partial &&
         out.status != Status::Degraded)
         return true; // bare-status error response
-    u8 from_cache = 0;
-    u32 i420_bytes = 0;
-    if (!r.getU16(out.width) || !r.getU16(out.height) ||
-        !r.getU32(out.firstFrame) || !r.getU32(out.frameCount) ||
-        !r.getU32(out.gopCount) || !r.getU8(from_cache) ||
-        !r.getU64(out.blocksCorrected) ||
-        !r.getU64(out.blocksUncorrectable) ||
-        !r.getU32(out.streamsShed) || !r.getU64(out.bytesShed) ||
-        !r.getDouble(out.shedDbEst) || !r.getU32(i420_bytes) ||
-        r.remaining() != i420_bytes)
+    out.width = in.getU16();
+    out.height = in.getU16();
+    out.firstFrame = in.getU32();
+    out.frameCount = in.getU32();
+    out.gopCount = in.getU32();
+    out.fromCache = in.getU8() != 0;
+    out.blocksCorrected = in.getU64();
+    out.blocksUncorrectable = in.getU64();
+    out.streamsShed = in.getU32();
+    out.bytesShed = in.getU64();
+    out.shedDbEst = in.getF64();
+    const u32 i420_bytes = in.getU32();
+    if (!in.ok() || in.remaining() != i420_bytes)
         return false;
-    out.fromCache = from_cache != 0;
     // The frames end the payload: drop the fields in front of them
     // and keep the buffer.
     payload.erase(payload.begin(),
@@ -569,169 +419,156 @@ parseGetFramesResponse(Bytes &&payload, GetFramesResponse &out)
 Bytes
 serializePutResponse(const PutResponse &response)
 {
-    WireWriter w;
-    w.putU8(static_cast<u8>(response.status));
-    w.putU64(response.payloadBytes);
-    w.putU64(response.cellBytes);
-    return w.take();
+    ByteWriter out;
+    out.putU8(static_cast<u8>(response.status));
+    out.putU64(response.payloadBytes);
+    out.putU64(response.cellBytes);
+    return out.take();
 }
 
 bool
 parsePutResponse(const Bytes &payload, PutResponse &out)
 {
-    WireReader r(payload);
-    u8 status = 0;
-    if (!r.getU8(status) || status > static_cast<u8>(Status::WrongEpoch))
+    ByteReader in(payload);
+    if (!getStatus(in, out.status))
         return false;
-    out.status = static_cast<Status>(status);
     if (out.status != Status::Ok)
         return true;
-    return r.getU64(out.payloadBytes) && r.getU64(out.cellBytes) &&
-           r.exhausted();
+    out.payloadBytes = in.getU64();
+    out.cellBytes = in.getU64();
+    return in.exhausted();
 }
 
 Bytes
 serializeStatResponse(const StatResponse &response)
 {
-    WireWriter w;
-    w.putU8(static_cast<u8>(response.status));
-    w.putU32(static_cast<u32>(response.videos.size()));
+    ByteWriter out;
+    out.putU8(static_cast<u8>(response.status));
+    out.putU32(static_cast<u32>(response.videos.size()));
     for (const ArchiveVideoStat &v : response.videos) {
-        w.putString(v.name);
-        w.putU16(static_cast<u16>(v.width));
-        w.putU16(static_cast<u16>(v.height));
-        w.putU32(static_cast<u32>(v.frames));
-        w.putU32(static_cast<u32>(v.streamCount));
-        w.putU64(v.payloadBytes);
-        w.putU64(v.cellBytes);
-        w.putU8(v.encrypted ? 1 : 0);
+        out.putString32(v.name);
+        out.putU16(static_cast<u16>(v.width));
+        out.putU16(static_cast<u16>(v.height));
+        out.putU32(static_cast<u32>(v.frames));
+        out.putU32(static_cast<u32>(v.streamCount));
+        out.putU64(v.payloadBytes);
+        out.putU64(v.cellBytes);
+        out.putU8(v.encrypted ? 1 : 0);
     }
-    return w.take();
+    return out.take();
 }
 
 bool
 parseStatResponse(const Bytes &payload, StatResponse &out)
 {
-    WireReader r(payload);
-    u8 status = 0;
-    if (!r.getU8(status) || status > static_cast<u8>(Status::WrongEpoch))
+    ByteReader in(payload);
+    if (!getStatus(in, out.status))
         return false;
-    out.status = static_cast<Status>(status);
     if (out.status != Status::Ok)
         return true;
-    u32 count = 0;
-    if (!r.getU32(count))
-        return false;
-    out.videos.clear();
-    for (u32 i = 0; i < count; ++i) {
-        ArchiveVideoStat v;
-        u16 width = 0;
-        u16 height = 0;
-        u32 frames = 0;
-        u32 streams = 0;
-        u8 encrypted = 0;
-        if (!r.getString(v.name) || !r.getU16(width) ||
-            !r.getU16(height) || !r.getU32(frames) ||
-            !r.getU32(streams) || !r.getU64(v.payloadBytes) ||
-            !r.getU64(v.cellBytes) || !r.getU8(encrypted))
-            return false;
-        v.width = width;
-        v.height = height;
-        v.frames = frames;
-        v.streamCount = streams;
-        v.encrypted = encrypted != 0;
-        out.videos.push_back(std::move(v));
+    out.videos.assign(in.boundedCount(in.getU32(), kStatRowMinBytes),
+                      ArchiveVideoStat{});
+    for (ArchiveVideoStat &v : out.videos) {
+        v.name = in.getString32();
+        v.width = in.getU16();
+        v.height = in.getU16();
+        v.frames = in.getU32();
+        v.streamCount = in.getU32();
+        v.payloadBytes = in.getU64();
+        v.cellBytes = in.getU64();
+        v.encrypted = in.getU8() != 0;
     }
-    return r.exhausted();
+    return in.exhausted();
 }
 
 Bytes
 serializeScrubResponse(const ScrubResponse &response)
 {
-    WireWriter w;
-    w.putU8(static_cast<u8>(response.status));
-    w.putU64(response.videos);
-    w.putU64(response.streams);
-    w.putU64(response.blocksRead);
-    w.putU64(response.blocksRewritten);
-    w.putU64(response.bitsCorrected);
-    w.putU64(response.blocksUncorrectable);
-    w.putU64(response.streamsMiscorrected);
-    w.putU64(response.streamsDamaged);
-    return w.take();
+    ByteWriter out;
+    out.putU8(static_cast<u8>(response.status));
+    out.putU64(response.videos);
+    out.putU64(response.streams);
+    out.putU64(response.blocksRead);
+    out.putU64(response.blocksRewritten);
+    out.putU64(response.bitsCorrected);
+    out.putU64(response.blocksUncorrectable);
+    out.putU64(response.streamsMiscorrected);
+    out.putU64(response.streamsDamaged);
+    return out.take();
 }
 
 bool
 parseScrubResponse(const Bytes &payload, ScrubResponse &out)
 {
-    WireReader r(payload);
-    u8 status = 0;
-    if (!r.getU8(status) || status > static_cast<u8>(Status::WrongEpoch))
+    ByteReader in(payload);
+    if (!getStatus(in, out.status))
         return false;
-    out.status = static_cast<Status>(status);
     if (out.status != Status::Ok)
         return true;
-    return r.getU64(out.videos) && r.getU64(out.streams) &&
-           r.getU64(out.blocksRead) &&
-           r.getU64(out.blocksRewritten) &&
-           r.getU64(out.bitsCorrected) &&
-           r.getU64(out.blocksUncorrectable) &&
-           r.getU64(out.streamsMiscorrected) &&
-           r.getU64(out.streamsDamaged) && r.exhausted();
+    out.videos = in.getU64();
+    out.streams = in.getU64();
+    out.blocksRead = in.getU64();
+    out.blocksRewritten = in.getU64();
+    out.bitsCorrected = in.getU64();
+    out.blocksUncorrectable = in.getU64();
+    out.streamsMiscorrected = in.getU64();
+    out.streamsDamaged = in.getU64();
+    return in.exhausted();
 }
 
 Bytes
 serializeHealthResponse(const HealthResponse &response)
 {
-    WireWriter w;
-    w.putU8(static_cast<u8>(response.status));
-    w.putU32(response.queueDepth);
-    w.putU32(response.queueCapacity);
-    w.putU32(response.queueHighWater);
-    w.putU64(response.queueRejected);
-    w.putU64(response.cacheBytes);
-    w.putU64(response.cacheEntries);
-    w.putU64(response.videos);
-    w.putU64(response.coalescedGets);
-    w.putU32(response.shedThreshold);
-    w.putU64(response.shedResponses);
-    return w.take();
+    ByteWriter out;
+    out.putU8(static_cast<u8>(response.status));
+    out.putU32(response.queueDepth);
+    out.putU32(response.queueCapacity);
+    out.putU32(response.queueHighWater);
+    out.putU64(response.queueRejected);
+    out.putU64(response.cacheBytes);
+    out.putU64(response.cacheEntries);
+    out.putU64(response.videos);
+    out.putU64(response.coalescedGets);
+    out.putU32(response.shedThreshold);
+    out.putU64(response.shedResponses);
+    return out.take();
 }
 
 bool
 parseHealthResponse(const Bytes &payload, HealthResponse &out)
 {
-    WireReader r(payload);
-    u8 status = 0;
-    if (!r.getU8(status) || status > static_cast<u8>(Status::WrongEpoch))
+    ByteReader in(payload);
+    if (!getStatus(in, out.status))
         return false;
-    out.status = static_cast<Status>(status);
     if (out.status != Status::Ok)
         return true;
-    return r.getU32(out.queueDepth) && r.getU32(out.queueCapacity) &&
-           r.getU32(out.queueHighWater) &&
-           r.getU64(out.queueRejected) && r.getU64(out.cacheBytes) &&
-           r.getU64(out.cacheEntries) && r.getU64(out.videos) &&
-           r.getU64(out.coalescedGets) &&
-           r.getU32(out.shedThreshold) &&
-           r.getU64(out.shedResponses) && r.exhausted();
+    out.queueDepth = in.getU32();
+    out.queueCapacity = in.getU32();
+    out.queueHighWater = in.getU32();
+    out.queueRejected = in.getU64();
+    out.cacheBytes = in.getU64();
+    out.cacheEntries = in.getU64();
+    out.videos = in.getU64();
+    out.coalescedGets = in.getU64();
+    out.shedThreshold = in.getU32();
+    out.shedResponses = in.getU64();
+    return in.exhausted();
 }
 
 Bytes
 serializeStatusOnly(Status status)
 {
-    WireWriter w;
-    w.putU8(static_cast<u8>(status));
-    return w.take();
+    return Bytes{static_cast<u8>(status)};
 }
 
 std::optional<Status>
 peekStatus(const Bytes &payload)
 {
-    if (payload.empty() ||
-        payload[0] > static_cast<u8>(Status::WrongEpoch))
+    ByteReader in(payload);
+    Status status = Status::Error;
+    if (!getStatus(in, status))
         return std::nullopt;
-    return static_cast<Status>(payload[0]);
+    return status;
 }
 
 // --- cluster messages --------------------------------------------------
@@ -739,203 +576,188 @@ peekStatus(const Bytes &payload)
 Bytes
 serializeClusterInfoResponse(const ClusterInfoResponse &r)
 {
-    WireWriter w;
-    w.putU8(static_cast<u8>(r.status));
-    w.putU64(r.epoch);
-    w.putU32(r.vnodes);
-    w.putU32(r.replicas);
-    w.putU32(r.selfId);
-    w.putU32(static_cast<u32>(r.shards.size()));
+    ByteWriter out;
+    out.putU8(static_cast<u8>(r.status));
+    out.putU64(r.epoch);
+    out.putU32(r.vnodes);
+    out.putU32(r.replicas);
+    out.putU32(r.selfId);
+    out.putU32(static_cast<u32>(r.shards.size()));
     for (const ClusterShard &s : r.shards) {
-        w.putU32(s.id);
-        w.putString(s.host);
-        w.putU16(s.port);
+        out.putU32(s.id);
+        out.putString32(s.host);
+        out.putU16(s.port);
     }
-    return w.take();
+    return out.take();
 }
 
 bool
 parseClusterInfoResponse(const Bytes &payload,
                          ClusterInfoResponse &out)
 {
-    WireReader r(payload);
-    u8 status = 0;
-    if (!r.getU8(status) || status > static_cast<u8>(Status::WrongEpoch))
+    ByteReader in(payload);
+    if (!getStatus(in, out.status))
         return false;
-    out.status = static_cast<Status>(status);
     // WrongEpoch responses carry the full ring body too — that is
     // the entire point: the rejected client heals from the reply.
     if (out.status != Status::Ok && out.status != Status::WrongEpoch)
         return true; // bare-status error response
-    u32 count = 0;
-    if (!r.getU64(out.epoch) || !r.getU32(out.vnodes) ||
-        !r.getU32(out.replicas) || !r.getU32(out.selfId) ||
-        !r.getU32(count))
-        return false;
-    out.shards.clear();
-    for (u32 i = 0; i < count; ++i) {
-        ClusterShard s;
-        if (!r.getU32(s.id) || !r.getString(s.host) ||
-            !r.getU16(s.port))
-            return false;
-        out.shards.push_back(std::move(s));
+    out.epoch = in.getU64();
+    out.vnodes = in.getU32();
+    out.replicas = in.getU32();
+    out.selfId = in.getU32();
+    out.shards.assign(in.boundedCount(in.getU32(), kShardMinBytes),
+                      ClusterShard{});
+    for (ClusterShard &s : out.shards) {
+        s.id = in.getU32();
+        s.host = in.getString32();
+        s.port = in.getU16();
     }
-    return r.exhausted() && out.vnodes > 0 && !out.shards.empty();
+    return in.exhausted() && out.vnodes > 0 && !out.shards.empty();
 }
 
 Bytes
 serializeMetaPutRequest(const MetaPutRequest &request)
 {
-    WireWriter w;
-    w.putString(request.name);
-    w.putBytes(request.meta);
-    return w.take();
+    ByteWriter out;
+    out.putString32(request.name);
+    out.putBlob32(request.meta);
+    return out.take();
 }
 
 bool
 parseMetaPutRequest(const Bytes &payload, MetaPutRequest &out)
 {
-    WireReader r(payload);
-    if (!r.getString(out.name) || !r.getBytes(out.meta) ||
-        !r.exhausted())
-        return false;
-    return !out.name.empty() && !out.meta.empty();
+    ByteReader in(payload);
+    out.name = in.getString32();
+    out.meta = in.getBlob32();
+    return in.exhausted() && !out.name.empty() && !out.meta.empty();
 }
 
 Bytes
 serializeMetaGetRequest(const MetaGetRequest &request)
 {
-    WireWriter w;
-    w.putString(request.name);
-    return w.take();
+    ByteWriter out;
+    out.putString32(request.name);
+    return out.take();
 }
 
 bool
 parseMetaGetRequest(const Bytes &payload, MetaGetRequest &out)
 {
-    WireReader r(payload);
-    return r.getString(out.name) && r.exhausted() &&
-           !out.name.empty();
+    ByteReader in(payload);
+    out.name = in.getString32();
+    return in.exhausted() && !out.name.empty();
 }
 
 Bytes
 serializeMetaGetResponse(const MetaGetResponse &response)
 {
-    WireWriter w;
-    w.putU8(static_cast<u8>(response.status));
+    ByteWriter out;
+    out.putU8(static_cast<u8>(response.status));
     if (response.status == Status::Ok)
-        w.putBytes(response.meta);
-    return w.take();
+        out.putBlob32(response.meta);
+    return out.take();
 }
 
 bool
 parseMetaGetResponse(const Bytes &payload, MetaGetResponse &out)
 {
-    WireReader r(payload);
-    u8 status = 0;
-    if (!r.getU8(status) || status > static_cast<u8>(Status::WrongEpoch))
+    ByteReader in(payload);
+    if (!getStatus(in, out.status))
         return false;
-    out.status = static_cast<Status>(status);
     if (out.status != Status::Ok)
         return true;
-    return r.getBytes(out.meta) && r.exhausted();
+    out.meta = in.getBlob32();
+    return in.exhausted();
 }
 
 Bytes
 serializeCellPullRequest(const CellPullRequest &request)
 {
-    WireWriter w;
-    w.putString(request.name);
-    return w.take();
+    ByteWriter out;
+    out.putString32(request.name);
+    return out.take();
 }
 
 bool
 parseCellPullRequest(const Bytes &payload, CellPullRequest &out)
 {
-    WireReader r(payload);
-    return r.getString(out.name) && r.exhausted() &&
-           !out.name.empty();
+    ByteReader in(payload);
+    out.name = in.getString32();
+    return in.exhausted() && !out.name.empty();
 }
 
 Bytes
 serializeCellPullResponse(const CellPullResponse &response)
 {
-    WireWriter w;
-    w.putU8(static_cast<u8>(response.status));
+    ByteWriter out;
+    out.putU8(static_cast<u8>(response.status));
     if (response.status == Status::Ok)
-        w.putBytes(response.record);
-    return w.take();
+        out.putBlob32(response.record);
+    return out.take();
 }
 
 bool
 parseCellPullResponse(const Bytes &payload, CellPullResponse &out)
 {
-    WireReader r(payload);
-    u8 status = 0;
-    if (!r.getU8(status) || status > static_cast<u8>(Status::WrongEpoch))
+    ByteReader in(payload);
+    if (!getStatus(in, out.status))
         return false;
-    out.status = static_cast<Status>(status);
     if (out.status != Status::Ok)
         return true;
-    return r.getBytes(out.record) && r.exhausted() &&
-           !out.record.empty();
+    out.record = in.getBlob32();
+    return in.exhausted() && !out.record.empty();
 }
 
 Bytes
 serializeCellPushRequest(const CellPushRequest &request)
 {
-    WireWriter w;
-    w.putString(request.name);
-    w.putBytes(request.record);
-    w.putU8(request.overwrite ? 1 : 0);
-    return w.take();
+    ByteWriter out;
+    out.putString32(request.name);
+    out.putBlob32(request.record);
+    out.putU8(request.overwrite ? 1 : 0);
+    return out.take();
 }
 
 bool
 parseCellPushRequest(const Bytes &payload, CellPushRequest &out)
 {
-    WireReader r(payload);
-    u8 overwrite = 0;
-    if (!r.getString(out.name) || !r.getBytes(out.record) ||
-        !r.getU8(overwrite) || !r.exhausted())
-        return false;
-    out.overwrite = overwrite != 0;
-    return !out.name.empty() && !out.record.empty();
+    ByteReader in(payload);
+    out.name = in.getString32();
+    out.record = in.getBlob32();
+    out.overwrite = in.getU8() != 0;
+    return in.exhausted() && !out.name.empty() && !out.record.empty();
 }
 
 Bytes
 serializeCellPushResponse(const CellPushResponse &response)
 {
-    WireWriter w;
-    w.putU8(static_cast<u8>(response.status));
+    ByteWriter out;
+    out.putU8(static_cast<u8>(response.status));
     if (response.status == Status::Ok)
-        w.putU8(response.adopted ? 1 : 0);
-    return w.take();
+        out.putU8(response.adopted ? 1 : 0);
+    return out.take();
 }
 
 bool
 parseCellPushResponse(const Bytes &payload, CellPushResponse &out)
 {
-    WireReader r(payload);
-    u8 status = 0;
-    if (!r.getU8(status) || status > static_cast<u8>(Status::WrongEpoch))
+    ByteReader in(payload);
+    if (!getStatus(in, out.status))
         return false;
-    out.status = static_cast<Status>(status);
     if (out.status != Status::Ok)
         return true;
-    u8 adopted = 0;
-    if (!r.getU8(adopted) || !r.exhausted())
-        return false;
-    out.adopted = adopted != 0;
-    return true;
+    out.adopted = in.getU8() != 0;
+    return in.exhausted();
 }
 
 std::optional<std::string>
 peekRequestName(const Bytes &payload)
 {
-    WireReader r(payload);
-    std::string name;
-    if (!r.getString(name) || name.empty())
+    ByteReader in(payload);
+    std::string name = in.getString32();
+    if (!in.ok() || name.empty())
         return std::nullopt;
     return name;
 }
@@ -975,10 +797,9 @@ Bytes
 packFramesI420(const Video &video, std::size_t first,
                std::size_t count)
 {
-    WireWriter w;
-    w.reserve(framesI420Bytes(video, first, count));
-    appendFramesI420(w, video, first, count);
-    return w.take();
+    ByteWriter out(framesI420Bytes(video, first, count));
+    appendFramesI420(out, video, first, count);
+    return out.take();
 }
 
 } // namespace videoapp

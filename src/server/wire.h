@@ -19,9 +19,9 @@
  * all come back as typed WireError values, never a crash (fuzzed in
  * tests/server_test.cc, mirroring the vapp_container fuzzing).
  *
- * Payload encodings are plain big-endian field sequences built with
- * WireWriter and consumed with the bounds-checked WireReader; every
- * parse*() is as total as the frame parser. Response payloads begin
+ * Payload encodings are plain big-endian field sequences written and
+ * read with the shared byte codec (common/bytes.h); every parse*() is
+ * as total as the frame parser. Response payloads begin
  * with the Status byte repeated, so a generic error response (status
  * byte only) parses under every opcode's response type.
  */
@@ -142,9 +142,6 @@ Bytes encodeFrame(u8 kind, u32 requestId, const Bytes &payload,
 Bytes encodeFrameHeader(u8 kind, u32 requestId, u32 payloadLength,
                         u8 flags = 0);
 
-/** A u32 as 4 big-endian bytes (the payload CRC trailer). */
-Bytes encodeBe32(u32 v);
-
 /**
  * Parse and validate a 20-byte frame header. @p data must hold at
  * least kWireHeaderBytes; @p out is valid only on None.
@@ -207,57 +204,6 @@ class FrameDeframer
     std::size_t pos_ = 0;
     WireError error_ = WireError::None;
     bool fatal_ = false;
-};
-
-// --- payload primitives ------------------------------------------------
-
-/** Append-only big-endian field writer for payload bodies. */
-class WireWriter
-{
-  public:
-    void putU8(u8 v) { out_.push_back(v); }
-    void putU16(u16 v);
-    void putU32(u32 v);
-    void putU64(u64 v);
-    /** IEEE double carried as its u64 bit pattern. */
-    void putDouble(double v);
-    /** u32 length prefix + raw bytes. */
-    void putBytes(const Bytes &bytes);
-    void putString(const std::string &s);
-    /** Raw bytes, no length prefix. */
-    void putRaw(const u8 *data, std::size_t size);
-    /** Capacity for @p bytes in all, so large payloads grow once. */
-    void reserve(std::size_t bytes) { out_.reserve(bytes); }
-
-    Bytes take() { return std::move(out_); }
-
-  private:
-    Bytes out_;
-};
-
-/** Bounds-checked big-endian field reader; get*() return false once
- * the payload is exhausted and never read past the end. */
-class WireReader
-{
-  public:
-    explicit WireReader(const Bytes &data) : data_(data) {}
-
-    bool getU8(u8 &v);
-    bool getU16(u16 &v);
-    bool getU32(u32 &v);
-    bool getU64(u64 &v);
-    bool getDouble(double &v);
-    bool getBytes(Bytes &bytes);
-    bool getString(std::string &s);
-
-    /** Everything consumed (trailing garbage is a parse error). */
-    bool exhausted() const { return pos_ == data_.size(); }
-    /** Bytes not yet consumed. */
-    std::size_t remaining() const { return data_.size() - pos_; }
-
-  private:
-    const Bytes &data_;
-    std::size_t pos_ = 0;
 };
 
 // --- requests ----------------------------------------------------------

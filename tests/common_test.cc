@@ -11,6 +11,7 @@
 #include <set>
 
 #include "common/bitstream.h"
+#include "common/bytes.h"
 #include "common/crc32.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -107,6 +108,74 @@ noiseBytes(std::size_t n, u64 seed)
     for (auto &b : out)
         b = static_cast<u8>(rng.next());
     return out;
+}
+
+TEST(ByteCodec, FieldsRoundTripBigEndian)
+{
+    ByteWriter out;
+    out.putU8(0x01);
+    out.putU16(0x0203);
+    out.putU32(0x04050607);
+    out.putU64(0x08090A0B0C0D0E0FULL);
+    out.putF64(-0.5);
+    out.putString16("ab");
+    out.putString32("cde");
+    out.putBlob32(Bytes{0xFE});
+    ASSERT_TRUE(out.ok());
+    const Bytes blob = out.take();
+    EXPECT_EQ(Bytes(blob.begin(), blob.begin() + 15),
+              (Bytes{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}));
+
+    ByteReader in(blob);
+    EXPECT_EQ(in.getU8(), 0x01);
+    EXPECT_EQ(in.getU16(), 0x0203);
+    EXPECT_EQ(in.getU32(), 0x04050607u);
+    EXPECT_EQ(in.getU64(), 0x08090A0B0C0D0E0FULL);
+    EXPECT_EQ(in.getF64(), -0.5);
+    EXPECT_EQ(in.getString16(), "ab");
+    EXPECT_EQ(in.getString32(), "cde");
+    EXPECT_EQ(in.getBlob32(), Bytes{0xFE});
+    EXPECT_TRUE(in.exhausted());
+}
+
+TEST(ByteCodec, ReaderErrorIsSticky)
+{
+    const Bytes blob = {0x00, 0x07, 0xAA};
+    ByteReader in(blob);
+    EXPECT_EQ(in.getU32(), 0u); // 3 bytes left: fails whole
+    EXPECT_FALSE(in.ok());
+    EXPECT_EQ(in.pos(), 0u);
+    // Every later read fails too, even one that would fit.
+    EXPECT_EQ(in.getU8(), 0u);
+    EXPECT_EQ(in.getString16(), "");
+    EXPECT_TRUE(in.getRaw(0).empty());
+    EXPECT_EQ(in.remaining(), 0u);
+    EXPECT_FALSE(in.exhausted());
+}
+
+TEST(ByteCodec, BoundedCountRefusesWhatCannotFit)
+{
+    const Bytes blob(12, 0);
+    ByteReader in(blob);
+    EXPECT_EQ(in.boundedCount(3, 4), 3u);
+    EXPECT_TRUE(in.ok());
+    EXPECT_EQ(in.boundedCount(4, 4), 0u); // 16 bytes > 12
+    EXPECT_FALSE(in.ok());
+    // A failed reader bounds every count to 0.
+    ByteReader failed(blob);
+    failed.getRaw(13);
+    EXPECT_EQ(failed.boundedCount(1, 1), 0u);
+}
+
+TEST(ByteCodec, String16RefusesToTruncate)
+{
+    ByteWriter out;
+    out.putString16(std::string(0xFFFF, 'x'));
+    EXPECT_TRUE(out.ok());
+    EXPECT_EQ(out.size(), 2u + 0xFFFF);
+    out.putString16(std::string(0x10000, 'x'));
+    EXPECT_FALSE(out.ok());
+    EXPECT_EQ(out.size(), 2u + 0xFFFF); // nothing written
 }
 
 TEST(Crc32, KnownAnswers)
