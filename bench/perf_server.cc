@@ -30,7 +30,12 @@
  *     kill-and-rebuild of one shard. Three hard flags gate it: zero
  *     lost or byte-mismatched videos, moved count equal to the ring
  *     diff prediction, and a byte-exact rebuild.
- *  6. five correctness flags: every request got a response
+ *  6. cold single-GOP GETs of a 1-, 4- and 16-GOP video on a server
+ *     with the cache off, so every GET misses: p50 latency and the
+ *     frames decoded per GET (the codec.frames_decoded histogram) per
+ *     row. A miss decodes only its GOP's reference closure, so both
+ *     should stay flat across video lengths (soft fields).
+ *  7. five correctness flags: every request got a response
  *     (responses_all_accounted), wire GET frames are byte-identical
  *     to a local ArchiveService::get (wire_matches_local), a warm
  *     GET is served from the decoded-GOP cache without touching the
@@ -740,6 +745,77 @@ checkShedUnderPressure(ArchiveService &service,
            degraded_has_sheds && sheds == 1;
 }
 
+// --- cold single-GOP GETs ----------------------------------------------
+
+/** One video length's cold single-GOP GETs. */
+struct ColdGopPoint
+{
+    int gops = 0;
+    int gets = 0;
+    double p50Us = 0;
+    double framesPerGet = 0;
+};
+
+/**
+ * Cold single-GOP GETs, one row per video length (1, 4 and 16 GOPs
+ * of the encoder's default 48 frames, 64x64): @p gets GETs per row
+ * over a server with the cache off, one client cycling through the
+ * video's GOPs, so every GET misses and decodes one GOP's reference
+ * closure. False when the server cannot start or a GET fails.
+ */
+bool
+benchColdGop(int gets, std::vector<ColdGopPoint> &points)
+{
+    ArchiveService service(scratchPath() + ".cold_gop");
+    std::remove(service.path().c_str());
+    if (service.open() != ArchiveError::None)
+        return false;
+    const int lengths[] = {1, 4, 16};
+    for (int gops : lengths) {
+        SyntheticSpec spec = tinySpec(300 + static_cast<u64>(gops));
+        spec.frames = 48 * gops;
+        service.put(benchVideoName(static_cast<std::size_t>(gops)),
+                    prepareVideo(generateSynthetic(spec),
+                                 EncoderConfig{},
+                                 EccAssignment::paperTable1()),
+                    {});
+    }
+    VappServerConfig config;
+    config.cacheBytes = 0;
+    VappServer server(service, config);
+    VappClient c;
+    bool ok = server.start() && c.connect("127.0.0.1", server.port());
+    auto &decoded = telemetry::globalRegistry().histogram(
+        "codec.frames_decoded");
+    for (int gops : lengths) {
+        if (!ok)
+            break;
+        const u64 sum_before = decoded.sum();
+        std::vector<double> us;
+        for (int i = 0; i < gets && ok; ++i) {
+            GetFramesRequest get;
+            get.name = benchVideoName(static_cast<std::size_t>(gops));
+            get.gop = static_cast<u32>(i % gops);
+            const double t0 = now();
+            auto r = c.getFrames(get);
+            us.push_back((now() - t0) * 1e6);
+            ok = r && r->status == Status::Ok;
+        }
+        std::sort(us.begin(), us.end());
+        ColdGopPoint point;
+        point.gops = gops;
+        point.gets = gets;
+        point.p50Us = percentile(us, 0.5);
+        point.framesPerGet =
+            static_cast<double>(decoded.sum() - sum_before) /
+            static_cast<double>(std::max(gets, 1));
+        points.push_back(point);
+    }
+    server.stop();
+    std::remove(service.path().c_str());
+    return ok;
+}
+
 // --- cluster mode (--shards N) -----------------------------------------
 
 /** An in-process cluster: one archive + node + server per shard. */
@@ -1371,8 +1447,9 @@ writeJson(const BenchConfig &config,
           bool all_accounted, bool wire_matches_local,
           bool cache_hit_skips_decode, bool backpressure_retry,
           bool coalescing_single_flight, bool shed_disabled_clean,
-          bool shed_pressure_ok, const ClusterResults *cluster,
-          const ResizeResults *resize)
+          bool shed_pressure_ok,
+          const std::vector<ColdGopPoint> &cold_gop,
+          const ClusterResults *cluster, const ResizeResults *resize)
 {
     const std::string path = outputPath();
     std::FILE *f = std::fopen(path.c_str(), "w");
@@ -1425,6 +1502,20 @@ writeJson(const BenchConfig &config,
                  shed_disabled_clean ? "true" : "false");
     std::fprintf(f, "  \"shed_under_pressure_degrades_tail\": %s,\n",
                  shed_pressure_ok ? "true" : "false");
+    // Cold single-GOP rows are keyed by video length in GOPs in
+    // their "threads" field; latency and frames decoded per GET are
+    // soft.
+    std::fprintf(f, "  \"cold_gop\": [\n");
+    for (std::size_t i = 0; i < cold_gop.size(); ++i) {
+        const ColdGopPoint &p = cold_gop[i];
+        std::fprintf(f,
+                     "    {\"threads\": %d, \"gets\": %d, "
+                     "\"get_p50_us\": %.1f, \"frames_per_get\": %.2f}"
+                     "%s\n",
+                     p.gops, p.gets, p.p50Us, p.framesPerGet,
+                     i + 1 < cold_gop.size() ? "," : "");
+    }
+    std::fprintf(f, "  ],\n");
     if (cluster != nullptr) {
         // Cluster rows are keyed by shard count in their "threads"
         // field (the row key the regression checker indexes by);
@@ -1682,6 +1773,18 @@ run(const BenchConfig &config, int shards, bool resize)
 
     std::remove(service.path().c_str());
 
+    std::printf("\ncold single-GOP GET (cache off, 64x64, 48-frame "
+                "GOPs):\n");
+    std::printf("%-8s %7s %11s %11s\n", "gops", "gets", "p50 (us)",
+                "frames/get");
+    std::vector<ColdGopPoint> cold_gop;
+    const bool cold_gop_ok = benchColdGop(ops * 2, cold_gop);
+    for (const ColdGopPoint &p : cold_gop)
+        std::printf("%-8d %7d %11.1f %11.2f\n", p.gops, p.gets,
+                    p.p50Us, p.framesPerGet);
+    if (!cold_gop_ok)
+        std::printf("cold single-GOP GETs: FAILED (BUG)\n");
+
     ClusterResults cluster;
     bool cluster_ok = true;
     if (shards > 1) {
@@ -1709,6 +1812,7 @@ run(const BenchConfig &config, int shards, bool resize)
                    shed_p99_speedup, ops, all_accounted,
                    wire_matches_local, cache_hit, backpressure,
                    coalescing, shed_disabled_clean, shed_pressure_ok,
+                   cold_gop,
                    shards > 1 && !cluster.points.empty() ? &cluster
                                                          : nullptr,
                    resize && shards > 1 ? &resize_results
@@ -1717,7 +1821,7 @@ run(const BenchConfig &config, int shards, bool resize)
     std::printf("wrote %s\n", outputPath().c_str());
     return all_accounted && wire_matches_local && cache_hit &&
            backpressure && coalescing && shed_disabled_clean &&
-           shed_pressure_ok && cluster_ok && resize_ok;
+           shed_pressure_ok && cold_gop_ok && cluster_ok && resize_ok;
 }
 
 } // namespace

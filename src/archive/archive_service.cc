@@ -242,6 +242,14 @@ ArchiveService::get(const std::string &name,
             crypto->mode, options.key, crypto->masterIv);
     }
 
+    result.gops = gopRanges(layout.frameHeaders, decodedFrameCount(layout));
+    if (options.gop && *options.gop >= result.gops.size()) {
+        result.frameHeaders = std::move(layout.frameHeaders);
+        return result;
+    }
+    const GopRange range =
+        options.gop ? result.gops[*options.gop] : kAllFrames;
+
     // A stream is shed when its degradation class reaches the
     // threshold; records without a stored policy rank streams by
     // position (ascending t is ascending importance), so shedding
@@ -311,7 +319,8 @@ ArchiveService::get(const std::string &name,
 
     DecodeOptions decode;
     decode.concealErrors = options.conceal;
-    result.decoded = decodeStreams(layout, result.streams, decode);
+    result.decoded = decodeStreams(layout, result.streams, decode, range);
+    result.firstFrame = range.firstFrame;
     result.frameHeaders = std::move(layout.frameHeaders);
 
     VA_TELEM_COUNT("archive.gets", 1);
@@ -797,7 +806,8 @@ ArchiveService::replicaNames() const
 }
 
 ArchiveGetResult
-ArchiveService::getFromReplica(const std::string &name) const
+ArchiveService::getFromReplica(const std::string &name,
+                               std::optional<u32> gop) const
 {
     VA_TELEM_LATENCY("archive.replica_get");
     ArchiveGetResult result;
@@ -812,20 +822,26 @@ ArchiveService::getFromReplica(const std::string &name) const
         result.error = ArchiveError::Malformed;
         return result;
     }
-    // Every stream zero-filled at its true length: the merge only
-    // needs placement, and the concealing decoder treats the missing
-    // content as damage. The whole video counts as shed.
+    // Every stream absent: the merge reads a missing stream as
+    // zeros and needs only the pivots for placement, so nothing is
+    // allocated at the stream sizes the blob claims, and the
+    // concealing decoder treats the missing content as damage. The
+    // whole video counts as shed.
     for (const StreamMeta &m : parsed.streams) {
-        result.streams.data[m.schemeT] =
-            Bytes(static_cast<std::size_t>(m.trueBytes), 0);
-        result.streams.bitLength[m.schemeT] = m.bitLength;
         ++result.streamsShed;
         result.bytesShed += m.payloadBytes;
     }
+    result.gops = gopRanges(parsed.layout.frameHeaders,
+                            decodedFrameCount(parsed.layout));
+    if (gop && *gop >= result.gops.size()) {
+        result.frameHeaders = std::move(parsed.layout.frameHeaders);
+        return result;
+    }
+    const GopRange range = gop ? result.gops[*gop] : kAllFrames;
     DecodeOptions decode;
     decode.concealErrors = true;
-    result.decoded = decodeStreams(parsed.layout, result.streams,
-                                   decode);
+    result.decoded = decodeStreams(parsed.layout, StreamSet{}, decode, range);
+    result.firstFrame = range.firstFrame;
     result.frameHeaders = std::move(parsed.layout.frameHeaders);
     VA_TELEM_COUNT("archive.replica_gets", 1);
     return result;

@@ -68,18 +68,31 @@ struct ArchiveGetOptions
      * back to rank-by-position (streams are ascending-importance).
      */
     int shedDegradeClass = 0;
+    /**
+     * Ranged read: decode only this GOP (gopRanges numbering) by
+     * merging and decoding its reference closure. The streams are
+     * still read, corrected and decrypted whole, so the cell
+     * statistics, and every frame returned, equal the whole-video
+     * read's at the same seed. Unset: the whole video. A GOP past
+     * the last reads nothing and returns no frames.
+     */
+    std::optional<u32> gop;
 };
 
 struct ArchiveGetResult
 {
     ArchiveError error = ArchiveError::None;
+    /** Display frames [firstFrame, firstFrame + decoded.frames.size())
+     * of the video: all of them, or the requested GOP's. */
     Video decoded;
+    u32 firstFrame = 0;
+    /** The video's GOPs (gopRanges over the precise headers), whatever
+     * was decoded: the serving layer numbers GOPs by them. */
+    std::vector<GopRange> gops;
     /** The retrieved (decrypted, exact-length) streams. */
     StreamSet streams;
     CellReadStats cells;
-    /** Precise per-frame headers of the record (encode order) — the
-     * serving layer derives GOP boundaries from the I-frame display
-     * indices without re-reading the archive. */
+    /** Precise per-frame headers of the record (encode order). */
     std::vector<FrameHeader> frameHeaders;
     /** Streams skipped by load shedding (served zero-filled). */
     u64 streamsShed = 0;
@@ -187,7 +200,8 @@ class ArchiveService
                      const ArchivePutOptions &options = {},
                      u64 *cell_bytes = nullptr);
 
-    /** Retrieve and decode @p name. */
+    /** Retrieve and decode @p name: the whole video, or one GOP of
+     * it (options.gop). */
     ArchiveGetResult get(const std::string &name,
                          const ArchiveGetOptions &options = {}) const;
 
@@ -318,12 +332,15 @@ class ArchiveService
     /**
      * Serve @p name from its held replica blob at degraded fidelity:
      * the replica carries the precise layout only, so every
-     * approximate stream decodes zero-filled with concealment on and
-     * is counted shed. This is the router's owner-timeout fallback —
-     * precise geometry intact, approximate content sacrificed.
-     * NotFound when no replica blob is held.
+     * approximate stream is merged as absent (zeros), decoded with
+     * concealment on and counted shed; result.streams stays empty.
+     * @p gop ranges the decode as ArchiveGetOptions::gop does. This
+     * is the router's owner-timeout fallback — precise geometry
+     * intact, approximate content sacrificed. NotFound when no
+     * replica blob is held.
      */
-    ArchiveGetResult getFromReplica(const std::string &name) const;
+    ArchiveGetResult getFromReplica(const std::string &name,
+                                    std::optional<u32> gop = {}) const;
 
     /**
      * Key-epoch GC scan: verify no record still references a retired

@@ -6,6 +6,7 @@
 #include "codec/mb_grid.h"
 #include "codec/mb_syntax.h"
 #include "codec/reconstruct.h"
+#include "common/telemetry.h"
 
 namespace videoapp {
 
@@ -46,9 +47,26 @@ concealMb(Frame &recon, const Frame *ref, MbGrid &grid, int mbx,
 
 } // namespace
 
+std::size_t
+decodedFrameCount(const EncodedVideo &coded)
+{
+    const int width = coded.header.width;
+    const int height = coded.header.height;
+    if (width <= 0 || height <= 0 || width % 16 || height % 16)
+        return 0;
+    return coded.header.frameCount;
+}
+
 Video
 decodeVideo(const EncodedVideo &coded, const DecodeOptions &options,
             DecodeStats *stats)
+{
+    return decodeFrames(coded, kAllFrames, options, stats);
+}
+
+Video
+decodeFrames(const EncodedVideo &coded, GopRange range,
+             const DecodeOptions &options, DecodeStats *stats)
 {
     const int width = coded.header.width;
     const int height = coded.header.height;
@@ -57,25 +75,37 @@ decodeVideo(const EncodedVideo &coded, const DecodeOptions &options,
 
     Video out;
     out.fps = coded.header.fps;
-    if (width <= 0 || height <= 0 || width % 16 || height % 16)
+    const std::size_t display_count = decodedFrameCount(coded);
+    if (display_count == 0)
         return out;
-    out.frames.assign(coded.header.frameCount,
-                      Frame(width, height));
+    const std::size_t first =
+        std::min<std::size_t>(range.firstFrame, display_count);
+    const std::size_t end =
+        first + std::min<std::size_t>(range.frameCount, display_count - first);
+    out.frames.assign(end - first, Frame(width, height));
 
-    std::vector<Frame> recons;
-    recons.reserve(coded.frameHeaders.size());
+    // Only the range's reference closure is reconstructed; every
+    // frame it needs precedes its dependents in encode order.
+    const std::vector<u8> needed =
+        referenceClosure(coded.frameHeaders, display_count, range);
+    std::vector<Frame> recons(coded.frameHeaders.size());
     MbGrid grid(mbw, mbh);
+    u64 frames_decoded = 0;
 
     const std::size_t frame_count = std::min(
         coded.frameHeaders.size(), coded.payloads.size());
     for (std::size_t enc_idx = 0; enc_idx < frame_count; ++enc_idx) {
+        if (!needed[enc_idx])
+            continue;
+        ++frames_decoded;
         const FrameHeader &header = coded.frameHeaders[enc_idx];
         const Bytes &payload = coded.payloads[enc_idx];
 
         // Resolve references; malformed indices become null (the
         // reconstruction then predicts neutral gray, never faults).
         auto ref_at = [&](i32 idx) -> const Frame * {
-            if (idx < 0 || static_cast<std::size_t>(idx) >= enc_idx)
+            if (idx < 0 || static_cast<std::size_t>(idx) >= enc_idx ||
+                !needed[static_cast<std::size_t>(idx)])
                 return nullptr;
             return &recons[static_cast<std::size_t>(idx)];
         };
@@ -146,10 +176,11 @@ decodeVideo(const EncodedVideo &coded, const DecodeOptions &options,
             deblockFrame(recon, codings, mbw, mbh,
                          slice_first_rows);
 
-        if (header.displayIdx < out.frames.size())
-            out.frames[header.displayIdx] = recon;
-        recons.push_back(std::move(recon));
+        if (header.displayIdx >= first && header.displayIdx < end)
+            out.frames[header.displayIdx - first] = recon;
+        recons[enc_idx] = std::move(recon);
     }
+    VA_TELEM_HIST("codec.frames_decoded", frames_decoded);
     return out;
 }
 

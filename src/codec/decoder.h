@@ -38,6 +38,10 @@ struct DecodeStats
     u64 totalMbs = 0;
 };
 
+/** Display frames a decode of @p coded yields: header.frameCount, or
+ * 0 when the frame size is not a positive multiple of 16. */
+std::size_t decodedFrameCount(const EncodedVideo &coded);
+
 /**
  * Decode @p coded into display order.
  * @return a video with header.frameCount frames; corrupted payloads
@@ -46,6 +50,20 @@ struct DecodeStats
 Video decodeVideo(const EncodedVideo &coded,
                   const DecodeOptions &options = {},
                   DecodeStats *stats = nullptr);
+
+/**
+ * Decode display frames @p range of @p coded (clamped to the video),
+ * reconstructing only their reference closure (referenceClosure in
+ * codec/gop.h). The result holds exactly the range's frames, each
+ * bit-identical to the same frame of decodeVideo — corrupted
+ * payloads and concealment included, since a frame's decode depends
+ * on nothing but its payload and its references. Payloads of frames
+ * outside the closure are never read, so a ranged mergeStreams
+ * output decodes here. decodeVideo is the full range.
+ */
+Video decodeFrames(const EncodedVideo &coded, GopRange range,
+                   const DecodeOptions &options = {},
+                   DecodeStats *stats = nullptr);
 
 } // namespace videoapp
 

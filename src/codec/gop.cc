@@ -1,6 +1,9 @@
 #include "codec/gop.h"
 
+#include <algorithm>
 #include <cassert>
+
+#include "codec/container.h"
 
 namespace videoapp {
 
@@ -81,6 +84,60 @@ planGop(int frame_count, const GopConfig &config)
     }
 
     return plan;
+}
+
+std::vector<GopRange>
+gopRanges(const std::vector<FrameHeader> &headers,
+          std::size_t frame_count)
+{
+    std::vector<u32> starts;
+    for (const FrameHeader &h : headers)
+        if (h.type == FrameType::I && h.displayIdx < frame_count)
+            starts.push_back(h.displayIdx);
+    std::sort(starts.begin(), starts.end());
+    // A leading non-I prefix (or no I frames at all) folds into the
+    // first GOP so every frame belongs to exactly one range.
+    if (starts.empty())
+        starts.push_back(0);
+    else
+        starts.front() = 0;
+    std::vector<GopRange> ranges;
+    for (std::size_t g = 0; g < starts.size(); ++g) {
+        u32 first = starts[g];
+        u32 end = g + 1 < starts.size()
+                      ? starts[g + 1]
+                      : static_cast<u32>(frame_count);
+        if (end > first)
+            ranges.push_back({first, end - first});
+    }
+    if (ranges.empty() && frame_count > 0)
+        ranges.push_back({0, static_cast<u32>(frame_count)});
+    return ranges;
+}
+
+std::vector<u8>
+referenceClosure(const std::vector<FrameHeader> &headers,
+                 std::size_t frame_count, GopRange range)
+{
+    const u64 first = range.firstFrame;
+    const u64 end = first + range.frameCount;
+    if (first == 0 && end >= frame_count)
+        return std::vector<u8>(headers.size(), 1);
+    std::vector<u8> needed(headers.size(), 0);
+    // References always point to earlier encode indices (the decoder
+    // drops any that do not), so one backward pass settles the
+    // transitive closure.
+    for (std::size_t i = headers.size(); i-- > 0;) {
+        const FrameHeader &h = headers[i];
+        if (h.displayIdx >= first && h.displayIdx < end)
+            needed[i] = 1;
+        if (!needed[i])
+            continue;
+        for (i32 ref : {h.ref0, h.ref1})
+            if (ref >= 0 && static_cast<std::size_t>(ref) < i)
+                needed[static_cast<std::size_t>(ref)] = 1;
+    }
+    return needed;
 }
 
 } // namespace videoapp

@@ -14,6 +14,7 @@
 
 #include <cassert>
 #include <cstddef>
+#include <span>
 
 #include "common/types.h"
 
@@ -144,6 +145,18 @@ void flipBit(Bytes &bytes, BitPos pos);
 
 /** Read the bit at @p pos (0 if out of range). */
 u32 getBit(const Bytes &bytes, BitPos pos);
+
+/**
+ * Copy @p count bits starting at bit @p src_bit of @p src to bit
+ * @p dst_bit of @p dst, overwriting what was there and leaving the
+ * bits around the range untouched. Source bits at or past the end of
+ * @p src read as 0, as BitReader reads them. Works a 64-bit word at a
+ * time once the destination is byte-aligned; the partition layer's
+ * split and merge both go through it.
+ * @pre dst holds at least dst_bit + count bits.
+ */
+void copyBits(std::span<u8> dst, u64 dst_bit, std::span<const u8> src,
+              u64 src_bit, u64 count);
 
 } // namespace videoapp
 

@@ -1,6 +1,7 @@
 #include "core/partition.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 
 #include "common/bitstream.h"
@@ -45,6 +46,10 @@ assignPivots(EncodedVideo &video, const EncodeSideInfo &side,
 
 namespace {
 
+/** Pivot scheme ids are one byte, so a scheme-indexed table is
+ * 256 wide. */
+constexpr int kSchemeCount = 256;
+
 /** Walk a frame's pivot segments as [begin, end) bit ranges. */
 template <typename Fn>
 void
@@ -67,51 +72,74 @@ forEachSegment(const FrameHeader &header, u64 payload_bits, Fn &&fn)
 StreamSet
 extractStreams(const EncodedVideo &video)
 {
-    std::map<int, BitWriter> writers;
-    for (std::size_t f = 0; f < video.frameHeaders.size(); ++f) {
-        const Bytes &payload = video.payloads[f];
-        u64 payload_bits = payload.size() * 8;
-        forEachSegment(video.frameHeaders[f], payload_bits,
+    // Size every stream first, then copy each segment straight to
+    // its offset: segments land in frame order, so a stream's bits
+    // are its segments concatenated.
+    std::array<u64, kSchemeCount> bits{};
+    for (std::size_t f = 0; f < video.frameHeaders.size(); ++f)
+        forEachSegment(video.frameHeaders[f],
+                       video.payloads[f].size() * 8,
                        [&](int t, u64 begin, u64 end) {
-                           BitWriter &w = writers[t];
-                           for (u64 bit = begin; bit < end; ++bit)
-                               w.writeBit(getBit(payload, bit));
+                           bits[t] += end - begin;
                        });
-    }
 
     StreamSet out;
-    for (auto &[t, writer] : writers) {
-        out.bitLength[t] = writer.bitCount();
-        out.data[t] = writer.take();
+    std::array<Bytes *, kSchemeCount> streams{};
+    for (int t = 0; t < kSchemeCount; ++t) {
+        if (bits[t] == 0)
+            continue;
+        out.bitLength[t] = bits[t];
+        streams[t] = &out.data[t];
+        streams[t]->assign((bits[t] + 7) / 8, 0);
+    }
+    std::array<u64, kSchemeCount> offset{};
+    for (std::size_t f = 0; f < video.frameHeaders.size(); ++f) {
+        const Bytes &payload = video.payloads[f];
+        forEachSegment(video.frameHeaders[f], payload.size() * 8,
+                       [&](int t, u64 begin, u64 end) {
+                           copyBits(*streams[t], offset[t], payload,
+                                    begin, end - begin);
+                           offset[t] += end - begin;
+                       });
     }
     return out;
 }
 
 EncodedVideo
-mergeStreams(const EncodedVideo &layout, const StreamSet &streams)
+mergeStreams(const EncodedVideo &layout, const StreamSet &streams,
+             GopRange range)
 {
-    EncodedVideo out = layout;
-    std::map<int, BitReader> readers;
-    for (const auto &[t, bytes] : streams.data)
-        readers.emplace(t, BitReader(bytes));
+    const std::vector<u8> needed = referenceClosure(
+        layout.frameHeaders, layout.header.frameCount, range);
+    EncodedVideo out;
+    out.header = layout.header;
+    out.frameHeaders = layout.frameHeaders;
+    out.payloads.resize(layout.payloads.size());
 
+    // A missing stream reads as zeros: its segments stay as
+    // allocated.
+    std::array<const Bytes *, kSchemeCount> sources{};
+    for (const auto &[t, bytes] : streams.data)
+        if (t >= 0 && t < kSchemeCount)
+            sources[t] = &bytes;
+    // Every frame's segments advance the stream offsets, needed or
+    // not: a frame's bits sit in each stream right after all earlier
+    // frames' bits. Only needed frames get a payload and a copy.
+    std::array<u64, kSchemeCount> offset{};
     for (std::size_t f = 0; f < out.frameHeaders.size(); ++f) {
-        Bytes &payload = out.payloads[f];
-        u64 payload_bits = payload.size() * 8;
-        // Clear and refill from the streams.
-        std::fill(payload.begin(), payload.end(), 0);
-        forEachSegment(
-            out.frameHeaders[f], payload_bits,
-            [&](int t, u64 begin, u64 end) {
-                auto it = readers.find(t);
-                for (u64 bit = begin; bit < end; ++bit) {
-                    u32 v = it == readers.end() ? 0
-                                                : it->second.readBit();
-                    if (v)
-                        payload[bit / 8] |= static_cast<u8>(
-                            0x80u >> (bit % 8));
-                }
-            });
+        const u64 payload_bits = layout.payloads[f].size() * 8;
+        Bytes *payload = nullptr;
+        if (needed[f]) {
+            payload = &out.payloads[f];
+            payload->assign(layout.payloads[f].size(), 0);
+        }
+        forEachSegment(out.frameHeaders[f], payload_bits,
+                       [&](int t, u64 begin, u64 end) {
+                           if (payload != nullptr && sources[t] != nullptr)
+                               copyBits(*payload, begin, *sources[t],
+                                        offset[t], end - begin);
+                           offset[t] += end - begin;
+                       });
     }
     return out;
 }

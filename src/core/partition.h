@@ -48,10 +48,17 @@ StreamSet extractStreams(const EncodedVideo &video);
 /**
  * Rebuild per-frame payloads from @p streams using @p layout's pivot
  * tables (the inverse of extractStreams, tolerant of corrupted
- * stream contents — only lengths matter for placement).
+ * stream contents — only lengths matter for placement). A stream
+ * missing from @p streams, or shorter than the pivots say, reads as
+ * zeros. Only the payloads of @p range's reference closure
+ * (referenceClosure in codec/gop.h) are filled: the other frames'
+ * segments are skipped, and their payloads come back empty, so the
+ * result is for decodeFrames over the same range. The default range
+ * fills every frame.
  */
 EncodedVideo mergeStreams(const EncodedVideo &layout,
-                          const StreamSet &streams);
+                          const StreamSet &streams,
+                          GopRange range = kAllFrames);
 
 } // namespace videoapp
 

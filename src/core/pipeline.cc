@@ -197,16 +197,16 @@ storeAndRetrieve(const PreparedVideo &prepared,
 
 Video
 decodeStreams(const EncodedVideo &layout, const StreamSet &streams,
-              const DecodeOptions &options)
+              const DecodeOptions &options, GopRange range)
 {
     EncodedVideo merged;
     simd::simdNoteStage("decode");
     {
         VA_TELEM_SCOPE("pipeline.merge_streams");
-        merged = mergeStreams(layout, streams);
+        merged = mergeStreams(layout, streams, range);
     }
     VA_TELEM_SCOPE("pipeline.decode");
-    return decodeVideo(merged, options);
+    return decodeFrames(merged, range, options);
 }
 
 double

@@ -120,14 +120,18 @@ double densityCellsPerPixel(const PreparedVideo &prepared,
 
 /**
  * The read half of the pipeline as a standalone entry point:
- * reassemble @p streams against @p layout's pivot tables and decode.
- * @p layout only contributes the precise parts (headers and payload
- * sizes) — exactly what an archive record persists, so a restarted
- * process can decode a stored video from its record alone.
+ * reassemble @p streams against @p layout's pivot tables and decode
+ * display frames @p range (every frame by default). Only the range's
+ * reference closure is merged and decoded, so the result holds
+ * exactly the range's frames, each bit-identical to the whole-video
+ * decode. @p layout only contributes the precise parts (headers and
+ * payload sizes) — exactly what an archive record persists, so a
+ * restarted process can decode a stored video from its record alone.
  */
 Video decodeStreams(const EncodedVideo &layout,
                     const StreamSet &streams,
-                    const DecodeOptions &options = {});
+                    const DecodeOptions &options = {},
+                    GopRange range = kAllFrames);
 
 /** Scheme of stream @p t as an EccScheme. */
 inline EccScheme

@@ -42,10 +42,11 @@ makeCachedGop(const DecodedGop &gop)
 }
 
 CachedGopPtr
-makeCachedGop(const GetFramesResponse &head, const Video &video)
+makeCachedGop(const GetFramesResponse &head, const Video &video,
+              std::size_t video_first)
 {
     return sealPayload(head.status, head.gopCount,
-                       serializeGetFramesResponse(head, video));
+                       serializeGetFramesResponse(head, video, video_first));
 }
 
 std::size_t
@@ -135,6 +136,19 @@ void
 FrameCache::put(const GopKey &key, const DecodedGop &gop)
 {
     put(key, makeCachedGop(gop));
+}
+
+bool
+FrameCache::holdsOtherGop(const GopKey &key)
+{
+    for (Shard &shard : shards_) {
+        std::lock_guard lock(shard.mutex);
+        for (const Entry &e : shard.lru)
+            if (e.key.gop != key.gop && e.key.keyId == key.keyId &&
+                e.key.video == key.video)
+                return true;
+    }
+    return false;
 }
 
 void

@@ -2,8 +2,9 @@
  * @file
  * Sharded LRU cache of decoded GOPs under a byte budget.
  *
- * A GET_FRAMES miss pays the full read path — cell read, BCH decode,
- * decrypt, entropy decode, reassembly — for the whole video; the hit
+ * A GET_FRAMES miss pays the read path — cell read, BCH decode,
+ * decrypt, reassembly and the entropy decode of the GOP's reference
+ * closure (or of the whole video when it fills the cache); the hit
  * path serves the *pre-serialized* GET_FRAMES response payload of
  * the requested GOP straight from memory. Entries are refcounted
  * (`std::shared_ptr<const CachedGop>`): a hit pins the entry so the
@@ -108,12 +109,14 @@ CachedGopPtr makeCachedGop(const DecodedGop &gop);
 
 /**
  * Pack one GOP straight out of a decoded video: @p head's fields,
- * then frames [head.firstFrame, +head.frameCount) of @p video copied
- * once into a payload reserved to its final size (head.i420 is
- * ignored), CRC'd once.
+ * then display frames [head.firstFrame, +head.frameCount) of @p video
+ * (whose frames[0] is display frame @p video_first) copied once into
+ * a payload reserved to its final size (head.i420 is ignored), CRC'd
+ * once.
  */
 CachedGopPtr makeCachedGop(const GetFramesResponse &head,
-                           const Video &video);
+                           const Video &video,
+                           std::size_t video_first = 0);
 
 class FrameCache
 {
@@ -129,6 +132,11 @@ class FrameCache
     /** Hit: a pin on the cached entry (refreshed to MRU); nullptr on
      * miss. The entry stays valid after eviction until released. */
     CachedGopPtr get(const GopKey &key);
+
+    /** True when a GOP of @p key's (video, key id) other than
+     * key.gop is cached. Counts no hit or miss and refreshes no
+     * entry: it scans every shard, as eraseVideo does. */
+    bool holdsOtherGop(const GopKey &key);
 
     /** Insert (or refresh) @p gop, evicting LRU entries as needed.
      * Oversized entries (beyond one shard's budget) are skipped. */

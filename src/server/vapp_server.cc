@@ -10,6 +10,7 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
@@ -501,6 +502,7 @@ VappServer::handleFrame(const std::shared_ptr<Connection> &conn,
                 // to the socket, no queue slot, no worker, no copy.
                 // Cache hits are free, so they stay full-fidelity
                 // even when admission is shedding.
+                hitsSinceMiss_.fetch_add(1, std::memory_order_relaxed);
                 respondCached(conn, header.requestId,
                               std::move(hit));
                 return;
@@ -991,21 +993,70 @@ VappServer::completeFlightFromCache(const ServerJob &job,
                                     const GetFramesRequest &request,
                                     CachedGopPtr hit)
 {
-    // The leader's own GOP is cached — assemble the whole video's
-    // table from cache so the waiters (who may want sibling GOPs)
-    // are served too. Any evicted sibling forces a fresh decode.
+    // The leader's own GOP is cached. When every waiter's GOP is
+    // cached too (a GOP past the last answers NotFound), retire the
+    // flight from cache; otherwise the leader reads. The check and
+    // the detach share the flights lock, so no waiter can join in
+    // between and go unanswered.
     const u32 key_id = keyIdOf(request.key);
-    std::vector<CachedGopPtr> table(hit->gopCount);
-    for (u32 g = 0; g < hit->gopCount; ++g) {
-        table[g] = g == request.gop
-                       ? hit
-                       : cache_.get(GopKey{request.name, g, key_id});
-        if (!table[g])
-            return false;
+    std::vector<std::pair<Waiter, CachedGopPtr>> answers;
+    {
+        std::lock_guard lock(flightsMutex_);
+        auto it = flights_.find(job.flightKey);
+        if (it != flights_.end()) {
+            for (const Waiter &w : it->second.waiters) {
+                CachedGopPtr gop;
+                if (w.gop == request.gop)
+                    gop = hit;
+                else if (w.gop < hit->gopCount)
+                    gop = cache_.get(GopKey{request.name, w.gop, key_id});
+                if (!gop && w.gop < hit->gopCount)
+                    return false;
+                answers.emplace_back(w, std::move(gop));
+            }
+            flights_.erase(it);
+        }
     }
-    finishFlight(job.flightKey, std::move(table));
+    for (auto &[w, gop] : answers) {
+        if (gop)
+            respondCached(w.conn, w.requestId, std::move(gop));
+        else
+            respondStatus(w.conn, Status::NotFound, w.requestId);
+    }
     respondCached(job.conn, job.requestId, std::move(hit));
     return true;
+}
+
+bool
+VappServer::fillsWholeVideo(const ServerJob &job,
+                            const GetFramesRequest &request,
+                            bool cacheable)
+{
+    // Locality as cache hits per miss, averaged over recent misses in
+    // 1/256 units: when a workload re-reads what it reads (one hit
+    // per miss or more), the extra GOPs of a whole-video fill are
+    // likely hits; random seeks leave them to be evicted unread. One
+    // sample is capped so a burst of hits cannot swamp the average.
+    constexpr u64 kOne = 256;
+    const u64 hits = std::min<u64>(
+        hitsSinceMiss_.exchange(0, std::memory_order_relaxed), 64);
+    const u64 average =
+        (hitsPerMiss_.load(std::memory_order_relaxed) * 7 + hits * kOne) /
+        8;
+    hitsPerMiss_.store(average, std::memory_order_relaxed);
+    const GopKey key{request.name, request.gop, keyIdOf(request.key)};
+    if (cacheable && (average >= kOne || cache_.holdsOtherGop(key)))
+        return true;
+    if (job.flightKey.empty())
+        return false;
+    std::lock_guard lock(flightsMutex_);
+    auto it = flights_.find(job.flightKey);
+    if (it == flights_.end())
+        return false;
+    for (const Waiter &w : it->second.waiters)
+        if (w.gop != request.gop)
+            return true;
+    return false;
 }
 
 void
@@ -1060,6 +1111,7 @@ VappServer::handleGetFrames(const ServerJob &job)
             // Admission raced a concurrent fill; serve from cache.
             // A leader still owes its waiters the full table.
             if (!leader) {
+                hitsSinceMiss_.fetch_add(1, std::memory_order_relaxed);
                 respondCached(job.conn, job.requestId,
                               std::move(hit));
                 return;
@@ -1084,6 +1136,19 @@ VappServer::handleGetFrames(const ServerJob &job)
     options.conceal = request.conceal || shed;
     options.key = request.key;
     options.shedDegradeClass = shed ? config_.shedThreshold : 0;
+    // The fill rule: a miss decodes only its own GOP's reference
+    // closure, unless the cache or the flight shows that other GOPs
+    // of the video are wanted too (playback, scrubbing); then it
+    // decodes the whole video once and caches every GOP.
+    const bool whole = fillsWholeVideo(job, request, cacheable);
+    // Two call sites, not a ternary name: VA_TELEM_COUNT caches the
+    // counter in a per-callsite static.
+    if (whole) {
+        VA_TELEM_COUNT("server.get.video_fills", 1);
+    } else {
+        VA_TELEM_COUNT("server.get.gop_reads", 1);
+        options.gop = request.gop;
+    }
     ArchiveGetResult result = service_.get(request.name, options);
     if (result.error == ArchiveError::CrcMismatch &&
         config_.cluster != nullptr) {
@@ -1136,14 +1201,13 @@ VappServer::handleGetFrames(const ServerJob &job)
         // metadata replica (the cells live only on the owner, so
         // every stream is served shed and concealed).
         ArchiveGetResult rep =
-            service_.getFromReplica(request.name);
+            service_.getFromReplica(request.name, request.gop);
         if (rep.error == ArchiveError::None) {
             // Coalesced waiters wanted full fidelity; send them
             // back to retry against the owner. Never cached.
             if (leader)
                 failFlight(job.flightKey, Status::Retry);
-            std::vector<GopRange> ranges = gopRanges(
-                rep.frameHeaders, rep.decoded.frames.size());
+            const std::vector<GopRange> &ranges = rep.gops;
             if (request.gop >= ranges.size()) {
                 respondStatus(job.conn, Status::NotFound,
                               job.requestId);
@@ -1166,8 +1230,9 @@ VappServer::handleGetFrames(const ServerJob &job)
             shedResponses_.fetch_add(1,
                                      std::memory_order_relaxed);
             VA_TELEM_COUNT("server.get.replica_served", 1);
-            respondCached(job.conn, job.requestId,
-                          makeCachedGop(response, rep.decoded));
+            respondCached(
+                job.conn, job.requestId,
+                makeCachedGop(response, rep.decoded, rep.firstFrame));
             return;
         }
     }
@@ -1184,8 +1249,7 @@ VappServer::handleGetFrames(const ServerJob &job)
         return;
     }
 
-    std::vector<GopRange> ranges =
-        gopRanges(result.frameHeaders, result.decoded.frames.size());
+    const std::vector<GopRange> &ranges = result.gops;
 
     GetFramesResponse response;
     response.status = result.cells.blocksUncorrectable > 0
@@ -1219,43 +1283,75 @@ VappServer::handleGetFrames(const ServerJob &job)
         VA_TELEM_HIST("server.shed.est_db_x100",
                       static_cast<u64>(response.shedDbEst * 100.0));
     }
-    response.width = static_cast<u16>(result.decoded.width());
-    response.height = static_cast<u16>(result.decoded.height());
     response.gopCount = static_cast<u32>(ranges.size());
     response.blocksCorrected = result.cells.blocksCorrected;
     response.blocksUncorrectable = result.cells.blocksUncorrectable;
 
     // Each GOP a miss answers with is packed straight out of the
-    // decoded video into its wire payload and CRC'd, once per
+    // decoded frames into its wire payload and CRC'd, once per
     // payload. Cache entries carry fromCache = true; the leader's
     // own response carries false. Entries exist only for full-
     // fidelity reads (shed jobs neither cache nor lead), so they
     // never carry the shed fields.
-    auto pack = [&](u32 g, bool from_cache) {
+    auto pack = [&](const ArchiveGetResult &from, u32 g, bool from_cache) {
         GetFramesResponse head = response;
+        head.width = static_cast<u16>(from.decoded.width());
+        head.height = static_cast<u16>(from.decoded.height());
         head.firstFrame = ranges[g].firstFrame;
         head.frameCount = ranges[g].frameCount;
         head.fromCache = from_cache;
         VA_TELEM_COUNT("server.gops_packed", 1);
-        return makeCachedGop(head, result.decoded);
+        return makeCachedGop(head, from.decoded, from.firstFrame);
     };
-    // One decode produced every GOP of the video: cache them all so
-    // the next hot read of any GOP skips the whole read path. With
-    // the cache off, a sibling GOP is packed only if a waiter of the
-    // flight asked for it.
-    std::vector<CachedGopPtr> table(ranges.size());
-    if (cacheable) {
+    const auto covers = [&](const ArchiveGetResult &from, u32 g) {
+        return ranges[g].firstFrame >= from.firstFrame &&
+               ranges[g].firstFrame + ranges[g].frameCount <=
+                   from.firstFrame + from.decoded.frames.size();
+    };
+    // Cache every GOP the read decoded: all of them after a
+    // whole-video read, so the next hot read of any GOP skips the
+    // read path, or the requested one after a GOP read. With the
+    // cache off, a GOP is packed only if a request asked for it.
+    auto fill = [&](const ArchiveGetResult &from) {
+        std::vector<CachedGopPtr> table(ranges.size());
+        if (!cacheable)
+            return table;
         for (u32 g = 0; g < ranges.size(); ++g) {
-            table[g] = pack(g, true);
+            if (!covers(from, g))
+                continue;
+            table[g] = pack(from, g, true);
             cache_.put(GopKey{request.name, g, key_id}, table[g]);
         }
-    }
+        return table;
+    };
     // Cache inserts happen before the flight retires: a GET arriving
     // after the flight is gone finds the cache warm, so no request
     // can fall between the two.
-    if (leader)
-        finishFlight(job.flightKey, std::move(table),
-                     [&pack](u32 g) { return pack(g, true); });
+    if (leader) {
+        // A waiter for a GOP this read did not decode joined after
+        // the read was sized: read the whole video once for all such
+        // waiters, filling as a whole-video miss does.
+        std::optional<ArchiveGetResult> video;
+        std::vector<CachedGopPtr> video_table;
+        auto build = [&](u32 g) -> CachedGopPtr {
+            if (covers(result, g))
+                return pack(result, g, true);
+            if (!video) {
+                VA_TELEM_COUNT("server.get.video_fills", 1);
+                ArchiveGetOptions whole_options = options;
+                whole_options.gop.reset();
+                video = service_.get(request.name, whole_options);
+                if (video->error == ArchiveError::None)
+                    video_table = fill(*video);
+            }
+            if (video->error != ArchiveError::None || !covers(*video, g))
+                return nullptr;
+            return video_table[g] ? video_table[g] : pack(*video, g, true);
+        };
+        finishFlight(job.flightKey, fill(result), build);
+    } else {
+        fill(result);
+    }
     if (request.gop >= ranges.size()) {
         respondStatus(job.conn, Status::NotFound, job.requestId);
         return;
@@ -1270,7 +1366,7 @@ VappServer::handleGetFrames(const ServerJob &job)
     else
         VA_TELEM_HIST("server.shed.latency_full_ms",
                       elapsedMs(job.admitted));
-    respondCached(job.conn, job.requestId, pack(request.gop, false));
+    respondCached(job.conn, job.requestId, pack(result, request.gop, false));
 }
 
 void

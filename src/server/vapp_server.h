@@ -20,10 +20,14 @@
  *     the connection outbox and the loop is woken via eventfd —
  *     workers never touch a socket.
  *
- * Read path: a GET_FRAMES miss decodes the *whole* video through
- * ArchiveService::get (BCH read, decrypt, entropy decode, pivot
- * reassembly), packs every GOP and caches them all, then answers
- * with the requested one; a hit serializes straight from the
+ * Read path: a GET_FRAMES miss reads the video through
+ * ArchiveService::get (BCH read, decrypt, pivot reassembly) and
+ * entropy-decodes only the requested GOP's reference closure, caches
+ * that GOP and answers with it. When another GOP of the video is
+ * already cached, a coalesced waiter wants one, or recent misses
+ * averaged a cache hit each, the miss decodes the whole video
+ * instead and caches every GOP (the fill rule, fillsWholeVideo). A
+ * hit serializes straight from the
  * refcounted FrameCache entry — the pre-built payload and memoized
  * CRC hit the wire with zero copies. Exact reads (injectRawBer ==
  * 0) are the only cacheable ones — injected reads are stochastic
@@ -314,18 +318,32 @@ class VappServer
     /** Retire the flight of @p key and serve its waiters from the
      * per-GOP table (out of range -> NotFound). A requested GOP the
      * table lacks is built by @p build, once, after the waiters are
-     * detached, so nobody packs a GOP no one asked for. */
+     * detached, so nobody packs a GOP no one asked for; a null build
+     * answers NotFound. */
     void finishFlight(const std::string &key,
                       std::vector<CachedGopPtr> table,
                       const std::function<CachedGopPtr(u32)> &build = {});
     /** Retire the flight answering every waiter @p status. */
     void failFlight(const std::string &key, Status status);
     /** Leader raced a cache fill: try to finish the flight (and the
-     * leader's own response) entirely from cache; false when a
-     * sibling GOP was evicted and a fresh decode is needed. */
+     * leader's own response) entirely from cache; false when a GOP a
+     * waiter wants is not cached and a read is needed. */
     bool completeFlightFromCache(const ServerJob &job,
                                  const GetFramesRequest &request,
                                  CachedGopPtr hit);
+    /**
+     * The fill rule: true when a miss should decode and cache the
+     * whole video instead of its own GOP. For @p cacheable reads:
+     * another GOP of the same (video, key id) is cached, or recent
+     * misses averaged at least one cache hit each. For any leader: a
+     * waiter on @p job's flight wants another GOP. All three are
+     * locality the server observes (playback, scrubbing, replays of
+     * what was just read), so no option chooses the decode range.
+     * Every call is one miss for the hit average.
+     */
+    bool fillsWholeVideo(const ServerJob &job,
+                         const GetFramesRequest &request,
+                         bool cacheable);
 
     ArchiveService &service_;
     VappServerConfig config_;
@@ -358,6 +376,11 @@ class VappServer
 
     std::atomic<u64> coalescedGets_{0};
     std::atomic<u64> shedResponses_{0};
+    /** Cache hits since the last miss reached the fill rule, and the
+     * fill rule's running average of that count (1/256 units). Relaxed
+     * and racy by design: a lost update only nudges a heuristic. */
+    std::atomic<u64> hitsSinceMiss_{0};
+    std::atomic<u64> hitsPerMiss_{0};
 };
 
 } // namespace videoapp

@@ -367,15 +367,16 @@ serializeGetFramesResponse(const GetFramesResponse &response,
 
 Bytes
 serializeGetFramesResponse(const GetFramesResponse &response,
-                           const Video &video)
+                           const Video &video, std::size_t video_first)
 {
+    const std::size_t first =
+        response.firstFrame >= video_first
+            ? response.firstFrame - video_first
+            : video.frames.size();
     return serializeGetFrames(
-        response,
-        framesI420Bytes(video, response.firstFrame,
-                        response.frameCount),
+        response, framesI420Bytes(video, first, response.frameCount),
         [&](ByteWriter &out) {
-            appendFramesI420(out, video, response.firstFrame,
-                             response.frameCount);
+            appendFramesI420(out, video, first, response.frameCount);
         });
 }
 
@@ -762,36 +763,7 @@ peekRequestName(const Bytes &payload)
     return name;
 }
 
-// --- frame packing & GOP ranges ----------------------------------------
-
-std::vector<GopRange>
-gopRanges(const std::vector<FrameHeader> &headers,
-          std::size_t frame_count)
-{
-    std::vector<u32> starts;
-    for (const FrameHeader &h : headers)
-        if (h.type == FrameType::I && h.displayIdx < frame_count)
-            starts.push_back(h.displayIdx);
-    std::sort(starts.begin(), starts.end());
-    // A leading non-I prefix (or no I frames at all) folds into the
-    // first GOP so every frame belongs to exactly one range.
-    if (starts.empty())
-        starts.push_back(0);
-    else
-        starts.front() = 0;
-    std::vector<GopRange> ranges;
-    for (std::size_t g = 0; g < starts.size(); ++g) {
-        u32 first = starts[g];
-        u32 end = g + 1 < starts.size()
-                      ? starts[g + 1]
-                      : static_cast<u32>(frame_count);
-        if (end > first)
-            ranges.push_back({first, end - first});
-    }
-    if (ranges.empty() && frame_count > 0)
-        ranges.push_back({0, static_cast<u32>(frame_count)});
-    return ranges;
-}
+// --- frame packing (GOP ranges: codec/gop.h) --------------------------
 
 Bytes
 packFramesI420(const Video &video, std::size_t first,

@@ -344,12 +344,14 @@ Bytes serializeGetFramesResponse(const GetFramesResponse &response);
  * response.i420 (ignored), so the frames are copied only once. */
 Bytes serializeGetFramesResponse(const GetFramesResponse &response,
                                  const Bytes &i420);
-/** The same payload with frames [response.firstFrame,
+/** The same payload with display frames [response.firstFrame,
  * +response.frameCount) of @p video as its frames (response.i420 is
  * ignored): each plane is copied once, straight from the decoded
- * video into a payload reserved to its final size. */
+ * video into a payload reserved to its final size. @p video_first is
+ * the display index of video.frames[0] (nonzero for a ranged read). */
 Bytes serializeGetFramesResponse(const GetFramesResponse &response,
-                                 const Video &video);
+                                 const Video &video,
+                                 std::size_t video_first = 0);
 bool parseGetFramesResponse(const Bytes &payload,
                             GetFramesResponse &out);
 /** Parse in place: the frames, the payload's tail, become out.i420
@@ -480,23 +482,7 @@ bool parseCellPushResponse(const Bytes &payload,
  */
 std::optional<std::string> peekRequestName(const Bytes &payload);
 
-// --- frame packing & GOP ranges ----------------------------------------
-
-/** One GOP's frame range in display order. */
-struct GopRange
-{
-    u32 firstFrame = 0;
-    u32 frameCount = 0;
-};
-
-/**
- * I-frame-delimited GOP ranges of a video, computed from its precise
- * frame headers (display order; a leading non-I prefix folds into
- * the first GOP). Never empty for a non-empty video.
- */
-std::vector<GopRange>
-gopRanges(const std::vector<FrameHeader> &headers,
-          std::size_t frame_count);
+// --- frame packing (GOP ranges: codec/gop.h) --------------------------
 
 /** Concatenate frames [first, first+count) as raw planar I420. */
 Bytes packFramesI420(const Video &video, std::size_t first,

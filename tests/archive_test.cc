@@ -85,6 +85,27 @@ videosEqual(const Video &a, const Video &b)
     return true;
 }
 
+/** A replica precise-meta blob whose last stream claims trueBytes =
+ * payloadBytes = cellLength = 2^63: sizes no node can allocate. */
+Bytes
+hugeStreamReplicaBlob(u64 seed)
+{
+    VideoRecord record =
+        recordFromPrepared(makePrepared(seed), std::nullopt);
+    // Without a policy trailer the stream table ends the blob: the
+    // last stream's trueBytes, payloadBytes and cellLength (u64
+    // each) sit right before its u32 cellsCrc.
+    record.policy.reset();
+    Bytes blob = serializeRecordMeta(record);
+    const std::size_t crc_at = blob.size() - 4;
+    for (std::size_t field = 1; field <= 3; ++field) {
+        u8 *size = blob.data() + crc_at - 8 * field;
+        std::fill(size, size + 8, u8{0});
+        size[0] = 0x80;
+    }
+    return blob;
+}
+
 EncryptionConfig
 testEncryption()
 {
@@ -483,6 +504,36 @@ TEST(ArchiveService_, HeldReplicasSurviveFlushAndReopen)
     ASSERT_EQ(again.open(false), ArchiveError::None);
     EXPECT_EQ(again.replicaMeta("peer-vid"), peer_blob);
     std::remove(path.c_str());
+}
+
+TEST(ArchiveService_, ReplicaGetNeverAllocatesClaimedStreamSizes)
+{
+    // A held replica blob may claim any stream size. The replica read
+    // merges from absent streams, so a 2^63-byte claim allocates
+    // nothing (it used to throw std::length_error and abort the
+    // node); the whole video and each GOP still decode, concealed.
+    ArchiveService service(tempPath("replica_huge"));
+    ASSERT_EQ(service.open(), ArchiveError::None);
+    ASSERT_EQ(service.putReplicaMeta("huge", hugeStreamReplicaBlob(56)),
+              ArchiveError::None);
+    ArchiveGetResult whole = service.getFromReplica("huge");
+    ASSERT_EQ(whole.error, ArchiveError::None);
+    EXPECT_EQ(whole.decoded.frames.size(), 20u);
+    EXPECT_TRUE(whole.streams.data.empty());
+    EXPECT_GT(whole.streamsShed, 0u);
+    ASSERT_EQ(whole.gops.size(), 3u);
+    for (u32 g = 0; g < whole.gops.size(); ++g) {
+        ArchiveGetResult part = service.getFromReplica("huge", g);
+        ASSERT_EQ(part.error, ArchiveError::None);
+        const GopRange &range = whole.gops[g];
+        EXPECT_EQ(part.firstFrame, range.firstFrame);
+        Video expect;
+        expect.frames.assign(
+            whole.decoded.frames.begin() + range.firstFrame,
+            whole.decoded.frames.begin() + range.firstFrame +
+                range.frameCount);
+        EXPECT_TRUE(videosEqual(part.decoded, expect)) << "gop " << g;
+    }
 }
 
 TEST(ArchiveService_, ErrorPaths)
@@ -1008,6 +1059,59 @@ TEST(ArchiveRekey, SelectiveTargetNarrowsEncryption)
 }
 
 // --- importance-aware shedding ----------------------------------------
+
+TEST(ArchiveRanged, GopGetMatchesWholeGetUnderInjection)
+{
+    // A ranged get reads, corrects and decrypts the same streams at
+    // the same seed as the whole-video get, then decodes only the
+    // GOP's reference closure: its frames and its cell statistics
+    // equal the whole get's.
+    PreparedVideo video = makePrepared(62);
+    ArchiveService service(tempPath("ranged"));
+    ASSERT_EQ(service.open(), ArchiveError::None);
+    ArchivePutOptions with_key;
+    with_key.encryption = testEncryption();
+    ASSERT_EQ(service.put("v", video, with_key), ArchiveError::None);
+
+    ArchiveGetOptions options;
+    options.injectRawBer = 1e-3;
+    options.seed = 29;
+    options.conceal = true;
+    options.key = testEncryption().key;
+    ArchiveGetResult whole = service.get("v", options);
+    ASSERT_EQ(whole.error, ArchiveError::None);
+    EXPECT_EQ(whole.firstFrame, 0u);
+    EXPECT_GT(whole.cells.blocksCorrected, 0u);
+    ASSERT_EQ(whole.gops.size(), 3u);
+    for (u32 g = 0; g < whole.gops.size(); ++g) {
+        options.gop = g;
+        ArchiveGetResult part = service.get("v", options);
+        ASSERT_EQ(part.error, ArchiveError::None);
+        const GopRange &range = whole.gops[g];
+        EXPECT_EQ(part.firstFrame, range.firstFrame);
+        EXPECT_EQ(part.gops.size(), whole.gops.size());
+        Video expect;
+        expect.frames.assign(
+            whole.decoded.frames.begin() + range.firstFrame,
+            whole.decoded.frames.begin() + range.firstFrame +
+                range.frameCount);
+        EXPECT_TRUE(videosEqual(part.decoded, expect)) << "gop " << g;
+        EXPECT_EQ(part.cells.blocksRead, whole.cells.blocksRead);
+        EXPECT_EQ(part.cells.blocksCorrected,
+                  whole.cells.blocksCorrected);
+        EXPECT_EQ(part.cells.bitsCorrected, whole.cells.bitsCorrected);
+        EXPECT_EQ(part.cells.blocksUncorrectable,
+                  whole.cells.blocksUncorrectable);
+    }
+
+    // A GOP past the last reads nothing and returns no frames.
+    options.gop = static_cast<u32>(whole.gops.size());
+    ArchiveGetResult past = service.get("v", options);
+    EXPECT_EQ(past.error, ArchiveError::None);
+    EXPECT_TRUE(past.decoded.frames.empty());
+    EXPECT_EQ(past.cells.blocksRead, 0u);
+    EXPECT_EQ(past.gops.size(), whole.gops.size());
+}
 
 TEST(ArchiveShed, ThresholdSkipsLowImportanceStreams)
 {

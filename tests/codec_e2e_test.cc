@@ -255,6 +255,83 @@ TEST(CodecE2e, HeaderBitsAreTinyFractionOfStream)
     EXPECT_LT(fraction, 0.2);
 }
 
+// --- ranged decode --------------------------------------------------
+
+TEST(RangedDecode, EveryGopMatchesTheWholeVideoDecode)
+{
+    // Every GOP decoded on its own equals the same frames of the
+    // whole-video decode bit for bit, for each GOP shape the encoder
+    // plans (0, 1 and 2 B-frames, B-frame references off and on),
+    // clean and from corrupted payloads with concealment on. 20
+    // frames over 8-frame GOPs leave a short last GOP.
+    Video source = generateSynthetic(tinySpec(31));
+    ASSERT_EQ(source.frames.size(), 20u);
+    for (int b_frames : {0, 1, 2}) {
+        for (bool b_refs : {false, true}) {
+            SCOPED_TRACE(::testing::Message() << "bFrames " << b_frames
+                                              << " bRefs " << b_refs);
+            EncoderConfig config;
+            config.gop.gopSize = 8;
+            config.gop.bFrames = b_frames;
+            config.gop.bRefs = b_refs;
+            EncodeResult result = encodeVideo(source, config);
+            Rng rng(37);
+            for (int trial = 0; trial < 3; ++trial) {
+                SCOPED_TRACE(trial);
+                EncodedVideo coded = result.video;
+                DecodeOptions options;
+                if (trial > 0) {
+                    for (auto &payload : coded.payloads)
+                        injectErrors(payload, 2e-3, rng);
+                    options.concealErrors = true;
+                }
+                Video whole = decodeVideo(coded, options);
+                auto ranges =
+                    gopRanges(coded.frameHeaders, whole.frames.size());
+                ASSERT_EQ(ranges.size(), 3u);
+                EXPECT_EQ(ranges.back().frameCount, 4u);
+                for (std::size_t g = 0; g < ranges.size(); ++g) {
+                    const GopRange &range = ranges[g];
+                    Video part = decodeFrames(coded, range, options);
+                    ASSERT_EQ(part.frames.size(), range.frameCount);
+                    for (u32 f = 0; f < range.frameCount; ++f)
+                        EXPECT_TRUE(framesIdentical(
+                            part.frames[f],
+                            whole.frames[range.firstFrame + f]))
+                            << "gop " << g << " frame " << f;
+                    // Open GOPs: the B-frames that close a GOP also
+                    // need the next GOP's I-frame, and nothing else
+                    // from outside the GOP.
+                    std::vector<u8> closure = referenceClosure(
+                        coded.frameHeaders, whole.frames.size(), range);
+                    u32 needed = 0;
+                    for (u8 flag : closure)
+                        needed += flag;
+                    const bool open =
+                        b_frames > 0 && g + 1 < ranges.size();
+                    EXPECT_EQ(needed, range.frameCount + (open ? 1 : 0))
+                        << "gop " << g;
+                }
+            }
+        }
+    }
+}
+
+TEST(RangedDecode, RangesClampToTheVideo)
+{
+    Video source = generateSynthetic(tinySpec(32));
+    EncoderConfig config;
+    config.gop.gopSize = 8;
+    EncodeResult result = encodeVideo(source, config);
+    Video whole = decodeVideo(result.video);
+    Video tail = decodeFrames(result.video, {16, 100});
+    ASSERT_EQ(tail.frames.size(), 4u);
+    EXPECT_TRUE(framesIdentical(tail.frames[3], whole.frames[19]));
+    EXPECT_TRUE(decodeFrames(result.video, {20, 8}).frames.empty());
+    EXPECT_EQ(decodeFrames(result.video, kAllFrames).frames.size(),
+              whole.frames.size());
+}
+
 class CorruptionParam : public ::testing::TestWithParam<EntropyKind>
 {
 };

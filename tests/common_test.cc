@@ -19,6 +19,36 @@
 namespace videoapp {
 namespace {
 
+TEST(CopyBits, MatchesABitAtATimeCopy)
+{
+    // Every alignment of source and destination, lengths across the
+    // word boundary, and sources that run out (their missing bits
+    // read as 0), against a reference built from getBit.
+    Rng rng(91);
+    for (int trial = 0; trial < 400; ++trial) {
+        Bytes src(1 + rng.nextBelow(40));
+        for (auto &b : src)
+            b = static_cast<u8>(rng.next());
+        Bytes dst(1 + rng.nextBelow(40));
+        for (auto &b : dst)
+            b = static_cast<u8>(rng.next());
+        const u64 dst_bit = rng.nextBelow(dst.size() * 8);
+        const u64 count = rng.nextBelow(dst.size() * 8 - dst_bit + 1);
+        const u64 src_bit = rng.nextBelow(src.size() * 8 + 16);
+        Bytes expect = dst;
+        for (u64 i = 0; i < count; ++i) {
+            const u64 pos = dst_bit + i;
+            const u8 mask = static_cast<u8>(0x80u >> (pos % 8));
+            if (getBit(src, src_bit + i))
+                expect[pos / 8] |= mask;
+            else
+                expect[pos / 8] &= static_cast<u8>(~mask);
+        }
+        copyBits(dst, dst_bit, src, src_bit, count);
+        ASSERT_EQ(dst, expect) << "trial " << trial;
+    }
+}
+
 TEST(BitWriter, PacksMsbFirst)
 {
     BitWriter w;

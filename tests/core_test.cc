@@ -301,6 +301,36 @@ TEST_F(PartitionFixture, MergeWithMissingStreamFillsZeros)
     ASSERT_EQ(decoded.frames.size(), source_.frames.size());
 }
 
+TEST_F(PartitionFixture, RangedMergeFillsOnlyTheReferenceClosure)
+{
+    // Truncated streams too: bits past a stream's end read as zeros
+    // in the ranged merge exactly as in the whole one.
+    StreamSet short_streams = prepared_.streams;
+    for (auto &[t, data] : short_streams.data)
+        data.resize(data.size() / 2);
+    const EncodedVideo &layout = prepared_.enc.video;
+    for (const StreamSet &streams : {prepared_.streams, short_streams}) {
+        EncodedVideo whole = mergeStreams(layout, streams);
+        auto ranges = gopRanges(layout.frameHeaders,
+                                layout.header.frameCount);
+        ASSERT_EQ(ranges.size(), 2u);
+        for (const GopRange &range : ranges) {
+            std::vector<u8> closure = referenceClosure(
+                layout.frameHeaders, layout.header.frameCount, range);
+            EncodedVideo merged = mergeStreams(layout, streams, range);
+            ASSERT_EQ(merged.payloads.size(), whole.payloads.size());
+            for (std::size_t f = 0; f < merged.payloads.size(); ++f) {
+                if (closure[f])
+                    EXPECT_EQ(merged.payloads[f], whole.payloads[f])
+                        << "frame " << f;
+                else
+                    EXPECT_TRUE(merged.payloads[f].empty())
+                        << "frame " << f;
+            }
+        }
+    }
+}
+
 // --- Pipeline -----------------------------------------------------------------------
 
 TEST_F(PartitionFixture, ErrorFreeChannelIsLossless)

@@ -55,6 +55,24 @@ makePrepared(u64 seed)
                         EccAssignment::paperTable1());
 }
 
+/** A replica precise-meta blob whose last stream claims trueBytes =
+ * payloadBytes = cellLength = 2^63 (see archive_test.cc). */
+Bytes
+hugeStreamReplicaBlob(u64 seed)
+{
+    VideoRecord record =
+        recordFromPrepared(makePrepared(seed), std::nullopt);
+    record.policy.reset();
+    Bytes blob = serializeRecordMeta(record);
+    const std::size_t crc_at = blob.size() - 4;
+    for (std::size_t field = 1; field <= 3; ++field) {
+        u8 *size = blob.data() + crc_at - 8 * field;
+        std::fill(size, size + 8, u8{0});
+        size[0] = 0x80;
+    }
+    return blob;
+}
+
 u64
 counterValue(const char *name)
 {
@@ -1004,6 +1022,7 @@ TEST_F(ServerLoopback, CacheHitSkipsTheReadPath)
     request.gop = 0;
 
     u64 gets_before = counterValue("archive.gets");
+    u64 gop_reads_before = counterValue("server.get.gop_reads");
     auto miss = c.getFrames(request);
     ASSERT_TRUE(miss.has_value());
     ASSERT_EQ(miss->status, Status::Ok);
@@ -1022,12 +1041,57 @@ TEST_F(ServerLoopback, CacheHitSkipsTheReadPath)
         EXPECT_EQ(counterValue("archive.gets"), gets_after_miss);
     }
 
-    // A whole-video decode warms every GOP, so another GOP is a hit
-    // too.
+    // The fill rule: the lone GOP-0 miss decoded and cached GOP 0
+    // only, so GOP 1 misses. With GOP 0 cached, that miss reads the
+    // whole video once and caches every GOP, so GOP 2 is a hit with
+    // no archive read.
+    u64 fills_before = counterValue("server.get.video_fills");
     request.gop = 1;
+    auto sibling = c.getFrames(request);
+    ASSERT_TRUE(sibling.has_value());
+    ASSERT_EQ(sibling->status, Status::Ok);
+    EXPECT_FALSE(sibling->fromCache);
+    u64 gets_after_sibling = counterValue("archive.gets");
+    request.gop = 2;
     auto other = c.getFrames(request);
     ASSERT_TRUE(other.has_value());
+    ASSERT_EQ(other->status, Status::Ok);
     EXPECT_TRUE(other->fromCache);
+    if (telemetry::kEnabled) {
+        EXPECT_EQ(counterValue("server.get.gop_reads"),
+                  gop_reads_before + 1);
+        EXPECT_EQ(gets_after_sibling, gets_after_miss + 1);
+        EXPECT_EQ(counterValue("archive.gets"), gets_after_sibling);
+        EXPECT_EQ(counterValue("server.get.video_fills"),
+                  fills_before + 1);
+    }
+}
+
+TEST_F(ServerLoopback, ReplicaGetOfAHugeStreamClaimServesDegraded)
+{
+    // A successor holding only a replica blob that claims a 2^63-byte
+    // stream answers a replica-allowed GET with one concealed GOP
+    // instead of aborting, and keeps serving.
+    startServer();
+    ASSERT_EQ(service_->putReplicaMeta("huge", hugeStreamReplicaBlob(57)),
+              ArchiveError::None);
+    VappClient c = client();
+    GetFramesRequest request;
+    request.name = "huge";
+    request.gop = 1;
+    request.allowReplica = true;
+    auto degraded = c.getFrames(request);
+    ASSERT_TRUE(degraded.has_value());
+    EXPECT_EQ(degraded->status, Status::Degraded);
+    EXPECT_EQ(degraded->gopCount, 3u);
+    EXPECT_EQ(degraded->firstFrame, 8u);
+    EXPECT_EQ(degraded->frameCount, 8u);
+    EXPECT_EQ(degraded->i420.size(), 8u * 64 * 64 * 3 / 2);
+
+    request.allowReplica = false;
+    auto missing = c.getFrames(request);
+    ASSERT_TRUE(missing.has_value());
+    EXPECT_EQ(missing->status, Status::NotFound);
 }
 
 TEST_F(ServerLoopback, InjectedGetMatchesLocalBitExactly)

@@ -151,6 +151,13 @@ EXTRA_ROW_SECTIONS = {
              "full_p99_us", "full_fidelity", "degraded",
              "streams_shed"),
         ),
+        # Cold single-GOP GETs, keyed by video length in GOPs in
+        # their "threads" field. Latency drifts with the runner and
+        # frames per GET comes from telemetry, so both are soft.
+        "cold_gop": (
+            (),
+            ("get_p50_us", "frames_per_get"),
+        ),
     },
 }
 
